@@ -20,15 +20,11 @@ def main():
                         help="comma list of powers of two")
     parser.add_argument("--terms", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--parallel", action="store_true",
-                        help="also time the threaded field path")
     parser.add_argument("--output", default=None,
                         help="write timing rows CSV (summary JSON alongside)")
     args = parser.parse_args()
 
     engines = ["fft", "direct"]
-    if args.parallel:
-        engines.append("fft-parallel")
     sizes = [int(s) for s in args.sizes.split(",")]
     report = bench.run_benchmark(sizes, terms=args.terms, repeats=args.repeats,
                                  engines=engines)

@@ -6,9 +6,6 @@ as the reported statistic. Absolute seconds are machine-specific and never
 asserted anywhere; what the harness is for are the fitted log-log slopes
 (quadratic growth of the direct engine against the near-linear transform
 engine) and per-size ratios.
-
-Runs are single-threaded with the default engines; the optional
-"fft-parallel" engine label times the threaded field path instead.
 """
 
 from __future__ import annotations
@@ -26,11 +23,7 @@ __all__ = ["BenchRow", "BenchReport", "run_benchmark", "fit_scaling"]
 
 CSV_HEADER = "engine,N,M,terms,repeat,seconds"
 
-_ENGINE_CONFIGS = {
-    "fft": {"engine": "fft"},
-    "direct": {"engine": "direct"},
-    "fft-parallel": {"engine": "fft", "parallel": True},
-}
+_ENGINES = ("fft", "direct")
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,7 @@ def run_benchmark(sizes, radius_count=9, terms=10, repeats=6,
     repeats : int
         Timed repetitions per cell (after one discarded warm-up).
     engines : iterable of str
-        Any of "fft", "direct", "fft-parallel".
+        Any of "fft", "direct".
 
     Returns
     -------
@@ -158,7 +151,7 @@ def run_benchmark(sizes, radius_count=9, terms=10, repeats=6,
         raise ValueError("radius_count must be >= 1")
     engines = list(engines)
     for engine in engines:
-        if engine not in _ENGINE_CONFIGS:
+        if engine not in _ENGINES:
             raise ValueError("unknown engine label %r" % (engine,))
 
     rows = []
@@ -167,11 +160,10 @@ def run_benchmark(sizes, radius_count=9, terms=10, repeats=6,
         radii = np.linspace(0.0, 0.8, radius_count) if radius_count > 1 else [0.0]
         grid = core.ParameterGrid(tuple(radii), n)
         for engine in engines:
-            kwargs = dict(_ENGINE_CONFIGS[engine])
-            core.decompose(g, grid, max_terms=terms, dc_first=True, **kwargs)
+            core.decompose(g, grid, max_terms=terms, dc_first=True, engine=engine)
             for repeat in range(repeats):
                 start = time.perf_counter()
-                core.decompose(g, grid, max_terms=terms, dc_first=True, **kwargs)
+                core.decompose(g, grid, max_terms=terms, dc_first=True, engine=engine)
                 elapsed = time.perf_counter() - start
                 rows.append(BenchRow(engine, n, radius_count, terms, repeat,
                                      elapsed))

@@ -198,8 +198,7 @@ def _cmd_decompose(args):
     g = signals.load_signal_csv(args.input)
     grid = core.ParameterGrid(_parse_radii(args.radii), g.shape[0])
     d = core.decompose(g, grid, max_terms=args.terms, threshold=args.threshold,
-                       engine=args.engine, dc_first=args.dc_first,
-                       parallel=args.parallel)
+                       engine=args.engine, dc_first=args.dc_first)
     errors = core.error_trace(d, g)
     doc = document_from_decomposition(d, errors, args.dc_first)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -231,8 +230,6 @@ def _cmd_reconstruct(args):
 
 def _cmd_bench(args):
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    if args.parallel and "fft-parallel" not in engines:
-        engines.append("fft-parallel")
     report = bench.run_benchmark(_parse_int_list(args.sizes), terms=args.terms,
                                  repeats=args.repeats, engines=engines)
     report.to_csv(args.output)
@@ -276,8 +273,6 @@ def build_parser():
                    help="START:STEP:END range or comma list")
     p.add_argument("--engine", choices=("fft", "direct"), default="fft")
     p.add_argument("--output", required=True, help="decomposition JSON")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate field rows in threads (AFD_THREADS caps workers)")
     p.add_argument("--dc-first", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="pin the first atom at a=0 (the mean term)")
@@ -296,9 +291,7 @@ def build_parser():
     p.add_argument("--terms", type=int, default=10)
     p.add_argument("--repeats", type=int, default=6)
     p.add_argument("--engines", default="fft,direct",
-                   help="comma list from fft, direct, fft-parallel")
-    p.add_argument("--parallel", action="store_true",
-                   help="additionally time the threaded field path")
+                   help="comma list from fft, direct")
     p.add_argument("--output", required=True, help="timing rows CSV")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -25,9 +25,7 @@ pole sequences apart from exact floating-point ties.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -250,36 +248,22 @@ def spectral_coefficients(g):
     return transform.dft_forward(_as_signal(g))
 
 
-def _worker_count(m):
-    cap = os.environ.get("AFD_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, m))
-
-
-def inner_product_field(c, grid, parallel=False):
+def inner_product_field(c, grid):
     """All grid inner products <G, e_a> as an (M, N) matrix.
 
-    Row s is the weighted inverse transform of c at radius r_s. The parallel
-    path evaluates rows in a thread pool; it produces bit-identical output
-    to the sequential batch since each row's arithmetic is unchanged.
+    Row s is the weighted inverse transform of c at radius r_s.
 
     Parameters
     ----------
     c : array_like
         Forward-DFT coefficients of the signal, length grid.angular_count.
     grid : ParameterGrid
-    parallel : bool
-        Evaluate rows concurrently (worker count capped by AFD_THREADS).
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 1 or c.shape[0] != grid.angular_count:
         raise ValueError("coefficient length %r does not match grid angular_count %d"
                          % (c.shape, grid.angular_count))
-    if not parallel or len(grid.radii) == 1:
-        return transform.weighted_inverse_grid(c, grid.radii)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(grid.radii))) as pool:
-        rows = list(pool.map(lambda r: transform.weighted_inverse(c, r), grid.radii))
-    return np.stack(rows)
+    return transform.weighted_inverse_grid(c, grid.radii)
 
 
 def maximal_selection(field_values, grid):
@@ -315,7 +299,7 @@ def remainder_update(g, a, c):
 
 
 def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
-              dc_first=False, parallel=False):
+              dc_first=False):
     """Greedy decomposition of G over the grid.
 
     Iterates: evaluate the selection field for the current remainder, take
@@ -341,8 +325,6 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
         adaptive selection starts at step 2. Off by default; the CLI turns
         it on. Useful when later terms should concentrate on oscillatory
         structure, and the convention behind the bundled error tables.
-    parallel : bool
-        Evaluate field rows in threads (fft engine; output bit-identical).
 
     Returns
     -------
@@ -375,8 +357,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
             coeff = complex(np.mean(remainder))
         else:
             if engine == "fft":
-                f = inner_product_field(spectral_coefficients(remainder), grid,
-                                        parallel=parallel)
+                f = inner_product_field(spectral_coefficients(remainder), grid)
             else:
                 f = oracle.field_direct(remainder, grid)
             point, coeff = maximal_selection(f, grid)

@@ -8,6 +8,7 @@ by the command line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "index,real,imag"
+_CSV_ROW = np.dtype([("i", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
 def _sample_times(n):
@@ -127,30 +129,34 @@ def save_signal_csv(path, g):
 
 
 def load_signal_csv(path):
-    """Read a signal written by save_signal_csv, validating shape and finiteness."""
+    """Read a signal written by save_signal_csv, validating shape and finiteness.
+
+    The body is parsed in one pass: three comma-separated columns per row,
+    an integer index equal to the row number, blank lines skipped. `#` has
+    no special meaning, so a comment row is a malformed row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError("bad signal header %r in %s" % (header, path))
-        rows = []
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError("malformed row %d in %s" % (line_no + 2, path))
-            rows.append(parts)
-    if not rows:
-        raise ValueError("no samples in %s" % path)
-    n = len(rows)
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("no samples in %s" % path)
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), dtype=_CSV_ROW,
+                               delimiter=",", comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError("malformed rows in %s: %s" % (path, exc)) from None
+    n = table.shape[0]
     if n < 8 or n & (n - 1):
         raise ValueError("sample count must be a power of two >= 8, got %d" % n)
+    if not np.array_equal(table["i"], np.arange(n)):
+        raise ValueError("index column out of order in %s" % path)
+    # Columns go in separately: re + 1j * im would turn -0.0 into +0.0.
     g = np.empty(n, dtype=np.complex128)
-    for m, (idx, re_s, im_s) in enumerate(rows):
-        if int(idx) != m:
-            raise ValueError("index column out of order at row %d in %s" % (m, path))
-        g[m] = complex(float(re_s), float(im_s))
+    g.real = table["re"]
+    g.imag = table["im"]
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite samples in %s" % path)
     return g

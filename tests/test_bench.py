@@ -31,13 +31,6 @@ def test_run_benchmark_row_bookkeeping():
     assert sorted(medians) == [64, 128]
 
 
-def test_run_benchmark_parallel_engine_label():
-    report = bench.run_benchmark([64], terms=2, repeats=1,
-                                 engines=("fft-parallel",))
-    assert report.engines() == ["fft-parallel"]
-    assert len(report.rows) == 1
-
-
 def test_run_benchmark_validation():
     with pytest.raises(ValueError):
         bench.run_benchmark([48])

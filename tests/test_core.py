@@ -172,16 +172,6 @@ def test_field_matches_direct_oracle():
         assert np.max(np.abs(fft_field - direct)) < 1e-10 * scale
 
 
-def test_parallel_field_is_bit_identical(monkeypatch):
-    monkeypatch.setenv("AFD_THREADS", "3")
-    n = 256
-    grid = _grid(n, radii=core.radius_range(0.0, 0.1, 0.8))
-    c = core.spectral_coefficients(_random_hardy(n, seed=4))
-    sequential = core.inner_product_field(c, grid, parallel=False)
-    threaded = core.inner_product_field(c, grid, parallel=True)
-    assert np.array_equal(sequential, threaded)
-
-
 def test_field_rejects_mismatched_grid():
     with pytest.raises(ValueError):
         core.inner_product_field(np.ones(32, dtype=np.complex128), _grid(64))

@@ -149,3 +149,39 @@ def test_csv_load_rejects_malformed_files(tmp_path):
     bad_shape.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError):
         signals.load_signal_csv(bad_shape)
+
+    # The format has no comments: a '#' row is malformed, not skipped.
+    comment = tmp_path / "comment.csv"
+    rows = lines[:]
+    rows.insert(5, "# 4,0.5,0.5")
+    comment.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError):
+        signals.load_signal_csv(comment)
+
+    # The index column is an integer; "1.0" is rejected, not rounded.
+    float_index = tmp_path / "float_index.csv"
+    rows = lines[:]
+    rows[2] = "1.0" + rows[2][1:]
+    float_index.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="float_index.csv"):
+        signals.load_signal_csv(float_index)
+
+
+def test_csv_load_skips_blank_lines_and_keeps_signed_zeros(tmp_path):
+    path = tmp_path / "sig.csv"
+    g = signals.synth_random_hardy(8, seed=4)
+    g[3] = complex(-0.0, -0.0)
+    signals.save_signal_csv(path, g)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + ["", "   "] + lines[3:]) + "\n\n")
+    loaded = signals.load_signal_csv(path)
+    assert np.array_equal(loaded, g)
+    assert np.signbit(loaded[3].real) and np.signbit(loaded[3].imag)
+
+
+def test_csv_load_header_only_reports_no_samples(tmp_path, recwarn):
+    path = tmp_path / "empty.csv"
+    path.write_text(signals.CSV_HEADER + "\n\n")
+    with pytest.raises(ValueError, match="no samples"):
+        signals.load_signal_csv(path)
+    assert len(recwarn) == 0

@@ -190,27 +190,65 @@ def test_weighted_constant_signal_closed_form():
     assert np.max(np.abs(out - expected)) < 1e-14
 
 
-@pytest.mark.parametrize("l", [0, 1, 5, 15])
-def test_weighted_single_mode_closed_form(l):
+@pytest.mark.parametrize("n, r, l", [
+    *(pytest.param(16, 0.6, l, id=str(l)) for l in (0, 1, 5, 15)),
+    pytest.param(16384, 0.8, 3000, id="16384-0.8-3000"),
+])
+def test_weighted_single_mode_closed_form(n, r, l):
     # G = z^l has c = N e_l, so out[m] = sqrt(1-r^2) r^l e^{+i2pi m l/N}/(1-r^N).
-    n = 16
-    r = 0.6
+    # At l = 3000 the weight 0.8^l ~ 1e-291 is tiny but normal and must
+    # survive the flush of underflowed weights; the bound is relative.
     c = np.zeros(n, dtype=np.complex128)
     c[l] = n
     expected = (np.sqrt(1.0 - r * r) * r ** l / (1.0 - r ** n)
-                * np.exp(2j * np.pi * np.arange(n) * l / n))
+                * np.exp(2j * np.pi * (np.arange(n) * l % n) / n))
     out = transform.weighted_inverse(c, r)
-    assert np.max(np.abs(out - expected)) < 1e-13
+    assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+def _assert_grid_rows_match_single_radius_calls(n, radii):
+    # The batched pass must be arithmetic-identical per row, not just close.
+    c = transform.dft_forward(_random_complex(n, seed=3))
+    grid_rows = transform.weighted_inverse_grid(c, radii)
+    assert grid_rows.shape == (len(radii), n)
+    for i, r in enumerate(radii):
+        assert np.array_equal(grid_rows[i], transform.weighted_inverse(c, r))
 
 
 def test_grid_rows_match_single_radius_calls():
-    # The batched pass must be arithmetic-identical per row, not just close.
-    c = transform.dft_forward(_random_complex(64, seed=3))
-    radii = (0.0, 0.25, 0.5, 0.8)
-    grid_rows = transform.weighted_inverse_grid(c, radii)
-    assert grid_rows.shape == (4, 64)
-    for i, r in enumerate(radii):
-        assert np.array_equal(grid_rows[i], transform.weighted_inverse(c, r))
+    _assert_grid_rows_match_single_radius_calls(64, (0.0, 0.25, 0.5, 0.8))
+
+
+def test_grid_rows_match_single_radius_calls_across_blocks():
+    # Four rows per block at this size: the r = 0 row is written in closed
+    # form and the other eight rows run as two blocks of four.
+    radii = tuple(k / 10 for k in range(9))
+    assert transform._radius_tables(radii, 16384)[1] == ((1, 5), (5, 9))
+    _assert_grid_rows_match_single_radius_calls(16384, radii)
+
+
+def test_grid_zero_radius_row_between_others():
+    # The r = 0 row is written in closed form, c_0 / N, wherever it sits;
+    # the rows around it still match single-radius calls bit for bit.
+    n = 32
+    c = transform.dft_forward(_random_complex(n, seed=6))
+    rows = transform.weighted_inverse_grid(c, (0.3, 0.0, 0.5))
+    assert transform._radius_tables((0.3, 0.0, 0.5), n)[1] == ((0, 1), (2, 3))
+    assert np.array_equal(rows[1], np.full(n, c[0] / n))
+    assert np.array_equal(rows[0], transform.weighted_inverse(c, 0.3))
+    assert np.array_equal(rows[2], transform.weighted_inverse(c, 0.5))
+
+
+def test_radius_tables_hold_no_subnormal_weights():
+    # For r > 0.5 the running product r^l underflows into the subnormal
+    # range long before l = N; such weights must be stored as exact zeros.
+    n = 65536
+    radii = tuple(k / 10 for k in range(9))
+    powers, blocks = transform._radius_tables(radii, n)
+    assert blocks == tuple((s, s + 1) for s in range(1, 9))  # one row per block
+    tiny = np.finfo(np.float64).tiny
+    assert not np.any((powers > 0.0) & (powers < tiny))
+    assert np.all(powers >= 0.0)
 
 
 def test_weighted_domain_errors():
