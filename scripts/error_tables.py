@@ -5,15 +5,12 @@ Both field engines run on the standard grid (radii 0, 0.1, ..., 0.8, one
 angle per sample, N = 1024) with the mean atom pinned first, and the table
 shows their error sequences side by side; the engines are expected to agree
 to far more digits than printed. A small timing block at the bottom reports
-median per-decomposition wall times at this size.
+median per-decomposition wall times at this size, from fastafd.bench.
 """
 
 import argparse
-import time
 
-import numpy as np
-
-from fastafd import core, signals
+from fastafd import bench, core, signals
 
 
 def error_columns(g, grid, terms):
@@ -33,16 +30,6 @@ def print_table(name, columns):
         print("%4d  %12.6f  %12.6f" % (i, a, b))
 
 
-def median_seconds(g, grid, terms, engine, repeats):
-    core.decompose(g, grid, max_terms=terms, engine=engine, dc_first=True)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        core.decompose(g, grid, max_terms=terms, engine=engine, dc_first=True)
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=1024)
@@ -60,9 +47,10 @@ def main():
     print()
     print("timings at N=%d, %d terms (median of %d):"
           % (args.samples, args.terms, args.repeats))
-    g = cases[0][1]
+    report = bench.run_benchmark([args.samples], terms=args.terms,
+                                 repeats=args.repeats)
     for engine in ("fft", "direct"):
-        seconds = median_seconds(g, grid, args.terms, engine, args.repeats)
+        seconds = report.medians(engine)[args.samples]
         print("  %-6s %8.2f ms" % (engine, 1e3 * seconds))
 
 

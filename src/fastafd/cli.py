@@ -113,8 +113,9 @@ def decomposition_from_document(doc):
     """Validate a parsed document and rebuild the Decomposition.
 
     Checks the invariants the file format promises: schema version, shape
-    consistency, finite values, poles inside the disc, and a non-increasing
-    residual-energy column.
+    consistency, finite values, poles inside the disc, angle indices on the
+    sample lattice, stored pole values equal to a_radius e^{2 pi i j / N}
+    (to 1e-12), and a non-increasing residual-energy column.
     """
     if _require(doc, "schema_version", int) != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % doc["schema_version"])
@@ -143,8 +144,15 @@ def decomposition_from_document(doc):
                     "residual_energy")]
         if not np.isfinite(numbers).all() or numbers[-1] < 0:
             raise ValueError("step %d has non-finite or negative entries" % (i + 1,))
-        point = core.ParameterPoint(numbers[0], _require(raw, "a_angle_index", int),
-                                    complex(numbers[1], numbers[2]))
+        j = _require(raw, "a_angle_index", int)
+        if not 0 <= j < n:
+            raise ValueError("step %d has a_angle_index %d outside 0..%d"
+                             % (i + 1, j, n - 1))
+        point = core.ParameterPoint(numbers[0], j, complex(numbers[1], numbers[2]))
+        # Same expression as ParameterGrid.point, so written documents match exactly.
+        if abs(point.value - numbers[0] * np.exp(2j * np.pi * j / n)) > 1e-12:
+            raise ValueError("step %d pole (a_re, a_im) is not a_radius e^{2 pi i j/N}"
+                             % (i + 1,))
         coeff = complex(numbers[3], numbers[4])
         residual = numbers[5]
         if previous is not None and residual > previous * (1 + 1e-9) + 1e-300:
@@ -180,9 +188,13 @@ def _parse_int_list(text):
 
 
 def _cmd_synth(args):
-    spec = signals.SignalSpec(kind=args.kind, n_samples=args.samples,
-                              seed=args.seed, degree=args.degree)
-    g = spec.build()
+    if args.kind == "f1":
+        g = signals.synth_f1(args.samples)
+    elif args.kind == "f2":
+        g = signals.synth_f2(args.samples)
+    else:
+        g = signals.synth_random_hardy(args.samples, degree=args.degree,
+                                       seed=args.seed)
     signals.save_signal_csv(args.output, g)
     extra = ""
     if args.kind == "random":

@@ -319,7 +319,9 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
         Relative-energy stopping level in (0, 1].
     engine : {"fft", "direct"}
         Field evaluator: batched weighted inverse transform, or the plain
-        quadrature sums. Identical selections either way.
+        quadrature sums. Both select the same poles, except where field
+        maxima tie mathematically and roundoff breaks the tie differently
+        in each engine.
     dc_first : bool
         Pin the first pole at a = 0, so step 1 removes the signal mean and
         adaptive selection starts at step 2. Off by default; the CLI turns
@@ -389,6 +391,16 @@ def tm_basis_samples(poles, n):
     return b
 
 
+def _partial_sums(steps, n):
+    """Yield the partial sums S_1, S_2, ... over `steps` on n lattice points."""
+    total = np.zeros(n, dtype=np.complex128)
+    blaschke_prod = np.ones(n, dtype=np.complex128)
+    for step in steps:
+        total = total + step.coefficient * kernel_samples(step.point, n) * blaschke_prod
+        yield total
+        blaschke_prod = blaschke_prod * blaschke_samples(step.point, n)
+
+
 def reconstruct(decomposition, n_terms):
     """Partial sum S_n over the first n recorded atoms.
 
@@ -399,12 +411,9 @@ def reconstruct(decomposition, n_terms):
     n_terms = int(n_terms)
     if not 0 <= n_terms <= len(steps):
         raise ValueError("term count %d outside 0..%d" % (n_terms, len(steps)))
-    n = decomposition.n_samples
-    total = np.zeros(n, dtype=np.complex128)
-    blaschke_prod = np.ones(n, dtype=np.complex128)
-    for step in steps[:n_terms]:
-        total = total + step.coefficient * kernel_samples(step.point, n) * blaschke_prod
-        blaschke_prod = blaschke_prod * blaschke_samples(step.point, n)
+    total = np.zeros(decomposition.n_samples, dtype=np.complex128)
+    for total in _partial_sums(steps[:n_terms], decomposition.n_samples):
+        pass
     return total
 
 
@@ -424,18 +433,12 @@ def error_trace(decomposition, g):
     """Relative errors of the partial sums, entry i for the (i+1)-term sum.
 
     Matches [relative_error(g, reconstruct(d, n)) for n = 1..len(steps)]
-    exactly; the partial sums are accumulated once instead of rebuilt.
+    exactly: both walk the same partial-sum recurrence, accumulated once
+    here instead of rebuilt per n.
     """
     g = _as_signal(g)
     if g.shape[0] != decomposition.n_samples:
         raise ValueError("signal length %d does not match decomposition %d"
                          % (g.shape[0], decomposition.n_samples))
-    n = decomposition.n_samples
-    total = np.zeros(n, dtype=np.complex128)
-    blaschke_prod = np.ones(n, dtype=np.complex128)
-    errors = []
-    for step in decomposition.steps:
-        total = total + step.coefficient * kernel_samples(step.point, n) * blaschke_prod
-        blaschke_prod = blaschke_prod * blaschke_samples(step.point, n)
-        errors.append(relative_error(g, total))
-    return errors
+    return [relative_error(g, s)
+            for s in _partial_sums(decomposition.steps, decomposition.n_samples)]

@@ -62,11 +62,11 @@ def field_direct(g, grid):
         raise ValueError("grid angular_count %d does not match signal length %d"
                          % (grid.angular_count, g.shape[0]))
     n = g.shape[0]
-    d = np.arange(n)
+    z = core._circle(n)
     gc = np.conj(g)
     rows = np.empty((len(grid.radii), n), dtype=np.complex128)
     for s, r in enumerate(grid.radii):
-        kernel_row = (np.sqrt(1.0 - r * r) / n) / (1.0 - r * np.exp(2j * np.pi * d / n))
+        kernel_row = (np.sqrt(1.0 - r * r) / n) / (1.0 - r * z)
         doubled = np.concatenate([kernel_row[::-1], kernel_row[::-1]])
         correlation = np.correlate(doubled, gc, "valid")
         rows[s] = correlation[n - 1 :: -1]

@@ -9,7 +9,6 @@ by the command line.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -17,7 +16,6 @@ from numpy.polynomial import polynomial as npoly
 from . import core
 
 __all__ = [
-    "SignalSpec",
     "synth_f1",
     "synth_f2",
     "synth_random_hardy",
@@ -89,31 +87,6 @@ def synth_random_hardy(n, degree=None, seed=0):
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
     z = np.exp(2j * np.pi * np.arange(n) / n)
     return npoly.polyval(z, coeffs)
-
-
-@dataclass(frozen=True)
-class SignalSpec:
-    """Declarative signal source: a named generator, or a CSV file."""
-
-    kind: str
-    n_samples: int = 0
-    seed: int = 0
-    degree: int | None = None
-    path: str | None = None
-
-    def build(self):
-        if self.kind == "f1":
-            return synth_f1(self.n_samples)
-        if self.kind == "f2":
-            return synth_f2(self.n_samples)
-        if self.kind == "random":
-            return synth_random_hardy(self.n_samples, degree=self.degree,
-                                      seed=self.seed)
-        if self.kind == "file":
-            if not self.path:
-                raise ValueError("file signal spec needs a path")
-            return load_signal_csv(self.path)
-        raise ValueError("unknown signal kind %r" % (self.kind,))
 
 
 def save_signal_csv(path, g):

@@ -25,13 +25,11 @@ streaming through memory once per stage. The leaf size and the block
 budget are fixed constants, not options.
 
 All sizes must be exact powers of two. Twiddle tables, leaf matrices and
-bit-reversal index vectors are cached per size, built once under a lock and
-published read-only.
+bit-reversal index vectors are cached per size and published read-only.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,10 +55,6 @@ class _Plan(NamedTuple):
     inverse: tuple
 
 
-_PLANS: dict[int, _Plan] = {}
-_PLAN_LOCK = threading.Lock()
-
-
 def _checked_length(x):
     x = np.asarray(x)
     if x.ndim != 1:
@@ -84,32 +78,26 @@ def _read_only(*arrays):
         a.setflags(write=False)
 
 
+@lru_cache(maxsize=32)
 def _plan(n):
-    plan = _PLANS.get(n)
-    if plan is None:
-        with _PLAN_LOCK:
-            plan = _PLANS.get(n)
-            if plan is None:
-                rev = _bit_reversal_indices(n)
-                leaf = min(_LEAF, n)
-                # Dense leaf: row k holds W_L^{rev(k) m} with W_L = e^{-i 2 pi / L},
-                # so a run of L bit-reversed entries times it is their L-point
-                # DFT in natural order, the result of the first log2(L) stages.
-                exponents = np.outer(_bit_reversal_indices(leaf), np.arange(leaf)) % leaf
-                dense = np.exp(-2j * np.pi * exponents / leaf)
-                # Forward twiddles W_N^l = e^{-i 2 pi l / N}, one contiguous
-                # slice per remaining stage; inverse stages conjugate them.
-                w = np.exp(-2j * np.pi * np.arange(n // 2) / n)
-                stages = []
-                span = 2 * leaf
-                while span <= n:
-                    stages.append(np.ascontiguousarray(w[:: n // span]))
-                    span *= 2
-                inverse = (np.conj(dense), [np.conj(t) for t in stages])
-                _read_only(rev, dense, inverse[0], *stages, *inverse[1])
-                plan = _Plan(rev, (dense, stages), inverse)
-                _PLANS[n] = plan
-    return plan
+    rev = _bit_reversal_indices(n)
+    leaf = min(_LEAF, n)
+    # Dense leaf: row k holds W_L^{rev(k) m} with W_L = e^{-i 2 pi / L},
+    # so a run of L bit-reversed entries times it is their L-point
+    # DFT in natural order, the result of the first log2(L) stages.
+    exponents = np.outer(_bit_reversal_indices(leaf), np.arange(leaf)) % leaf
+    dense = np.exp(-2j * np.pi * exponents / leaf)
+    # Forward twiddles W_N^l = e^{-i 2 pi l / N}, one contiguous
+    # slice per remaining stage; inverse stages conjugate them.
+    w = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    stages = []
+    span = 2 * leaf
+    while span <= n:
+        stages.append(np.ascontiguousarray(w[:: n // span]))
+        span *= 2
+    inverse = (np.conj(dense), [np.conj(t) for t in stages])
+    _read_only(rev, dense, inverse[0], *stages, *inverse[1])
+    return _Plan(rev, (dense, stages), inverse)
 
 
 def _transform(x, out, direction):
@@ -151,6 +139,18 @@ def bit_reverse_permute(x):
     return x[_plan(n).rev]
 
 
+def _dft(x, inverse):
+    """Unnormalized forward DFT, or the 1/N-scaled inverse if `inverse`."""
+    x, n = _checked_length(x)
+    plan = _plan(n)
+    y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
+    out = np.empty(n, dtype=np.complex128)
+    _transform(y[None], out[None], plan.inverse if inverse else plan.forward)
+    if inverse:
+        out /= n
+    return out
+
+
 def dft_forward(x):
     """Unnormalized forward DFT, out[l] = sum_m x[m] e^{-i 2 pi m l / N}.
 
@@ -166,23 +166,12 @@ def dft_forward(x):
     -------
     ndarray of complex
     """
-    x, n = _checked_length(x)
-    plan = _plan(n)
-    y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    _transform(y[None], out[None], plan.forward)
-    return out
+    return _dft(x, inverse=False)
 
 
 def dft_inverse(c):
     """Inverse of dft_forward: out[m] = (1/N) sum_l c[l] e^{+i 2 pi m l / N}."""
-    c, n = _checked_length(c)
-    plan = _plan(n)
-    y = np.ascontiguousarray(c[plan.rev], dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    _transform(y[None], out[None], plan.inverse)
-    out /= n
-    return out
+    return _dft(c, inverse=True)
 
 
 @lru_cache(maxsize=32)

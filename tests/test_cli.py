@@ -156,6 +156,10 @@ def test_document_validation_round_trip(tmp_path):
     lambda doc: doc["steps"][1].update(a_radius=1.5),
     lambda doc: doc["relative_errors"].pop(),
     lambda doc: doc["grid"].update(angular_count=128),
+    # Step 1 is the dc-first pin at r = 0, where any angle gives the same pole.
+    lambda doc: doc["steps"][0].update(a_angle_index=10**6),
+    lambda doc: doc["steps"][0].update(a_angle_index=-1),
+    lambda doc: doc["steps"][3].update(a_re=doc["steps"][3]["a_re"] + 0.01),
 ])
 def test_corrupt_documents_are_rejected(tmp_path, capsys, mutate):
     doc_path = _decompose(tmp_path, _synth(tmp_path))
@@ -179,6 +183,17 @@ def test_increasing_residual_document_is_rejected(tmp_path, capsys):
                             "--terms", "1", "--output", str(tmp_path / "x.csv")])
     assert code == 1
     assert "residual_energy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, extra, generate", [
+    ("f1", (), signals.synth_f1),
+    ("f2", (), signals.synth_f2),
+    ("random", ("--seed", "3", "--degree", "5"),
+     lambda n: signals.synth_random_hardy(n, degree=5, seed=3)),
+], ids=["f1", "f2", "random"])
+def test_synth_writes_generator_samples(tmp_path, kind, extra, generate):
+    path = _synth(tmp_path, kind=kind, samples=64, extra=extra)
+    assert np.array_equal(signals.load_signal_csv(path), generate(64))
 
 
 def test_random_synth_seed_reproducibility(tmp_path):

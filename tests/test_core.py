@@ -433,6 +433,6 @@ def test_error_trace_matches_reconstruct_loop():
     assert len(trace) == len(d.steps)
     rebuilt = [core.relative_error(g, core.reconstruct(d, k))
                for k in range(1, len(d.steps) + 1)]
-    assert np.max(np.abs(np.array(trace) - np.array(rebuilt))) < 1e-15
+    assert trace == rebuilt
     with pytest.raises(ValueError):
         core.error_trace(d, _random_hardy(64, seed=23))

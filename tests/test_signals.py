@@ -83,21 +83,6 @@ def test_random_hardy_validation():
         < 1e-12 * core.discrete_energy(g) ** 0.5 * 64
 
 
-def test_signal_spec_dispatch(tmp_path):
-    assert np.array_equal(signals.SignalSpec("f1", 64).build(), signals.synth_f1(64))
-    assert np.array_equal(signals.SignalSpec("f2", 64).build(), signals.synth_f2(64))
-    assert np.array_equal(signals.SignalSpec("random", 64, seed=3).build(),
-                          signals.synth_random_hardy(64, seed=3))
-    path = tmp_path / "sig.csv"
-    g = signals.synth_random_hardy(32, seed=9)
-    signals.save_signal_csv(path, g)
-    assert np.array_equal(signals.SignalSpec("file", path=str(path)).build(), g)
-    with pytest.raises(ValueError):
-        signals.SignalSpec("file").build()
-    with pytest.raises(ValueError):
-        signals.SignalSpec("chirp", 64).build()
-
-
 def test_csv_roundtrip_is_bitwise_exact(tmp_path):
     path = tmp_path / "sig.csv"
     g = signals.synth_random_hardy(128, seed=2) * 1e-7
