@@ -4,18 +4,18 @@
 Both field engines run on the standard grid (radii 0, 0.1, ..., 0.8, one
 angle per sample, N = 1024) with the mean atom pinned first, and the table
 shows their error sequences side by side; the engines are expected to agree
-to far more digits than printed. A small timing block at the bottom reports
-median per-decomposition wall times at this size, from fastafd.bench.
+to far more digits than printed. For the engines' wall times at this size
+run `fastafd bench --sizes 1024 --output bench.csv`.
 """
 
 import argparse
 
-from fastafd import bench, core, signals
+from fastafd import core, signals
 
 
 def error_columns(g, grid, terms):
     columns = {}
-    for engine in ("fft", "direct"):
+    for engine in core.ENGINES:
         d = core.decompose(g, grid, max_terms=terms, engine=engine,
                            dc_first=True)
         columns[engine] = core.error_trace(d, g)
@@ -34,8 +34,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=1024)
     parser.add_argument("--terms", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repeats per engine")
     args = parser.parse_args()
 
     grid = core.ParameterGrid.experiment_default(args.samples)
@@ -43,15 +41,6 @@ def main():
              ("square wave f2", signals.synth_f2(args.samples))]
     for name, g in cases:
         print_table(name, error_columns(g, grid, args.terms))
-
-    print()
-    print("timings at N=%d, %d terms (median of %d):"
-          % (args.samples, args.terms, args.repeats))
-    report = bench.run_benchmark([args.samples], terms=args.terms,
-                                 repeats=args.repeats)
-    for engine in ("fft", "direct"):
-        seconds = report.medians(engine)[args.samples]
-        print("  %-6s %8.2f ms" % (engine, 1e3 * seconds))
 
 
 if __name__ == "__main__":

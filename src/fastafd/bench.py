@@ -10,6 +10,7 @@ engine) and per-size ratios.
 
 from __future__ import annotations
 
+import os
 import platform
 import time
 from dataclasses import dataclass, field
@@ -22,8 +23,6 @@ from . import core, signals
 __all__ = ["BenchRow", "BenchReport", "run_benchmark", "fit_scaling"]
 
 CSV_HEADER = "engine,N,M,terms,repeat,seconds"
-
-_ENGINES = ("fft", "direct")
 
 
 @dataclass(frozen=True)
@@ -80,22 +79,6 @@ class BenchReport:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise ValueError("bad benchmark header %r in %s" % (header, path))
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                engine, n, m, terms, repeat, seconds = line.split(",")
-                rows.append(BenchRow(engine, int(n), int(m), int(terms),
-                                     int(repeat), float(seconds)))
-        return cls(rows)
-
 
 def _cpu_model():
     try:
@@ -111,29 +94,27 @@ def _cpu_model():
 def _environment():
     return {
         "cpu": _cpu_model(),
+        "cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count()),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
 
 
-def run_benchmark(sizes, radius_count=9, terms=10, repeats=6,
-                  engines=("fft", "direct")):
-    """Time decompose() for every (size, engine) cell.
+def run_benchmark(sizes, terms=10, repeats=6, engines=core.ENGINES):
+    """Time decompose() for every (size, engine) cell on the standard grid.
 
     Parameters
     ----------
     sizes : iterable of int
         Signal lengths, powers of two >= 8.
-    radius_count : int
-        Grid radii, evenly spaced on [0, 0.8]; 9 reproduces the standard
-        0, 0.1, ..., 0.8 layout.
     terms : int
         Decomposition steps per timed run.
     repeats : int
         Timed repetitions per cell (after one discarded warm-up).
     engines : iterable of str
-        Any of "fft", "direct".
+        Any of core.ENGINES.
 
     Returns
     -------
@@ -147,25 +128,22 @@ def run_benchmark(sizes, radius_count=9, terms=10, repeats=6,
         raise ValueError("need at least one size")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if radius_count < 1:
-        raise ValueError("radius_count must be >= 1")
     engines = list(engines)
     for engine in engines:
-        if engine not in _ENGINES:
+        if engine not in core.ENGINES:
             raise ValueError("unknown engine label %r" % (engine,))
 
     rows = []
     for n in sizes:
         g = signals.synth_f1(n)
-        radii = np.linspace(0.0, 0.8, radius_count) if radius_count > 1 else [0.0]
-        grid = core.ParameterGrid(tuple(radii), n)
+        grid = core.ParameterGrid.experiment_default(n)
         for engine in engines:
             core.decompose(g, grid, max_terms=terms, dc_first=True, engine=engine)
             for repeat in range(repeats):
                 start = time.perf_counter()
                 core.decompose(g, grid, max_terms=terms, dc_first=True, engine=engine)
                 elapsed = time.perf_counter() - start
-                rows.append(BenchRow(engine, n, radius_count, terms, repeat,
+                rows.append(BenchRow(engine, n, len(grid.radii), terms, repeat,
                                      elapsed))
     return BenchReport(rows, _environment())
 

@@ -104,7 +104,7 @@ def _require(doc, key, kind):
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError("document field %r has the wrong type" % key)
     return value
 
@@ -115,12 +115,14 @@ def decomposition_from_document(doc):
     Checks the invariants the file format promises: schema version, shape
     consistency, finite values, poles inside the disc, angle indices on the
     sample lattice, stored pole values equal to a_radius e^{2 pi i j / N}
-    (to 1e-12), and a non-increasing residual-energy column.
+    (to 1e-12), radii on the grid (or the dc-first pin a = 0 at step 1), and
+    a non-increasing residual-energy column.
     """
     if _require(doc, "schema_version", int) != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % doc["schema_version"])
     n = _require(doc, "n_samples", int)
     engine = _require(doc, "engine", str)
+    dc_first = _require(doc, "dc_first", bool)
     grid_doc = _require(doc, "grid", dict)
     grid = core.ParameterGrid(tuple(float(r) for r in _require(grid_doc, "radii", list)),
                               _require(grid_doc, "angular_count", int))
@@ -153,6 +155,9 @@ def decomposition_from_document(doc):
         if abs(point.value - numbers[0] * np.exp(2j * np.pi * j / n)) > 1e-12:
             raise ValueError("step %d pole (a_re, a_im) is not a_radius e^{2 pi i j/N}"
                              % (i + 1,))
+        pinned = i == 0 and dc_first and point == core.ParameterPoint(0.0, 0, 0j)
+        if numbers[0] not in grid.radii and not pinned:
+            raise ValueError("step %d has a_radius outside the grid" % (i + 1,))
         coeff = complex(numbers[3], numbers[4])
         residual = numbers[5]
         if previous is not None and residual > previous * (1 + 1e-9) + 1e-300:
@@ -283,7 +288,7 @@ def build_parser():
                    help="stop once residual/initial energy falls this low")
     p.add_argument("--radii", default="0:0.1:0.8",
                    help="START:STEP:END range or comma list")
-    p.add_argument("--engine", choices=("fft", "direct"), default="fft")
+    p.add_argument("--engine", choices=core.ENGINES, default="fft")
     p.add_argument("--output", required=True, help="decomposition JSON")
     p.add_argument("--dc-first", action=argparse.BooleanOptionalAction,
                    default=True,

@@ -19,8 +19,8 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs the
 batched weighted inverse transform (O(M N log N) per step), "direct" the
 plain quadrature sums (O(M N^2), see the oracle module). Both see identical
-grids and apply the same deterministic tie-break, so they select identical
-pole sequences apart from exact floating-point ties.
+grids and the same deterministic tie-break; their poles differ only where
+field maxima tie mathematically and roundoff breaks the tie differently.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 RADIUS_WARN_LIMIT = 0.95
+
+ENGINES = ("fft", "direct")
 
 
 def radius_range(start, step, stop):
@@ -115,8 +117,7 @@ class ParameterGrid:
     """Polar search grid: M circle radii times N evenly spaced angles.
 
     `angular_count` must equal the signal length N so that every candidate
-    angle sits on the sample lattice; the constructors below cover the two
-    standard radius layouts.
+    angle sits on the sample lattice.
     """
 
     radii: tuple
@@ -143,20 +144,9 @@ class ParameterGrid:
             )
 
     @classmethod
-    def from_range(cls, start, step, stop, angular_count):
-        """Radii start, start+step, ..., up to and including stop."""
-        return cls(radius_range(start, step, stop), angular_count)
-
-    @classmethod
-    def evenly_spaced(cls, count, angular_count):
-        """count radii r_s = s/(count+1), s = 1..count (open at both ends)."""
-        return cls(tuple(s / (count + 1) for s in range(1, count + 1)),
-                   angular_count)
-
-    @classmethod
     def experiment_default(cls, angular_count):
         """The standard evaluation grid, radii 0, 0.1, ..., 0.8."""
-        return cls.from_range(0.0, 0.1, 0.8, angular_count)
+        return cls(radius_range(0.0, 0.1, 0.8), angular_count)
 
     def point(self, radius_index, angle_index):
         r = self.radii[radius_index]
@@ -338,8 +328,8 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     if grid.angular_count != g.shape[0]:
         raise ValueError("grid angular_count %d does not match signal length %d"
                          % (grid.angular_count, g.shape[0]))
-    if engine not in ("fft", "direct"):
-        raise ValueError("engine must be 'fft' or 'direct', got %r" % (engine,))
+    if engine not in ENGINES:
+        raise ValueError("engine must be one of %s, got %r" % (ENGINES, engine))
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if threshold is not None and not 0.0 < threshold <= 1.0:
@@ -434,11 +424,14 @@ def error_trace(decomposition, g):
 
     Matches [relative_error(g, reconstruct(d, n)) for n = 1..len(steps)]
     exactly: both walk the same partial-sum recurrence, accumulated once
-    here instead of rebuilt per n.
+    here instead of rebuilt per n, and ||G||^2 is computed once.
     """
     g = _as_signal(g)
     if g.shape[0] != decomposition.n_samples:
         raise ValueError("signal length %d does not match decomposition %d"
                          % (g.shape[0], decomposition.n_samples))
-    return [relative_error(g, s)
+    eg = discrete_energy(g)
+    if eg == 0.0 and decomposition.steps:
+        raise ValueError("relative error undefined for a zero-energy reference")
+    return [discrete_energy(g - s) / eg
             for s in _partial_sums(decomposition.steps, decomposition.n_samples)]

@@ -85,8 +85,7 @@ def synth_random_hardy(n, degree=None, seed=0):
         raise ValueError("degree must satisfy 0 <= d < n/2, got %d" % degree)
     rng = np.random.Generator(np.random.Philox(seed))
     coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    z = np.exp(2j * np.pi * np.arange(n) / n)
-    return npoly.polyval(z, coeffs)
+    return npoly.polyval(core._circle(n), coeffs)
 
 
 def save_signal_csv(path, g):

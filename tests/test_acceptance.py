@@ -103,7 +103,7 @@ def test_criterion_4_square_wave_error_sequence(criterion_report, case2):
 def test_criterion_5_engine_scaling(criterion_report):
     started = time.perf_counter()
     report = bench.run_benchmark([2 ** k for k in range(8, 14)],
-                                 radius_count=9, terms=10, repeats=3)
+                                 terms=10, repeats=3)
     elapsed = time.perf_counter() - started
     direct_slope = bench.fit_scaling(report, "direct")
     fft_slope = bench.fit_scaling(report, "fft")

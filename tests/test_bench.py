@@ -39,8 +39,6 @@ def test_run_benchmark_validation():
     with pytest.raises(ValueError):
         bench.run_benchmark([64], repeats=0)
     with pytest.raises(ValueError):
-        bench.run_benchmark([64], radius_count=0)
-    with pytest.raises(ValueError):
         bench.run_benchmark([64], engines=("warp",))
 
 
@@ -73,18 +71,19 @@ def test_csv_roundtrip(tmp_path):
     report = bench.run_benchmark([64], terms=2, repeats=2)
     path = tmp_path / "rows.csv"
     report.to_csv(path)
-    loaded = bench.BenchReport.from_csv(path)
-    assert loaded.rows == report.rows
-    bad = tmp_path / "bad.csv"
-    bad.write_text("whatever\n")
-    with pytest.raises(ValueError):
-        bench.BenchReport.from_csv(bad)
+    lines = path.read_text().splitlines()
+    assert lines[0] == bench.CSV_HEADER
+    assert len(lines) == 1 + len(report.rows)
+    for line, row in zip(lines[1:], report.rows):
+        assert float(line.split(",")[-1]) == row.wall_seconds
 
 
 def test_summary_structure():
     report = _synthetic_report([256, 512, 1024], lambda n: 1e-6 * n)
     summary = report.summary()
     assert set(summary) == {"environment", "engines"}
+    # Every number ships with the usable core count.
+    assert bench._environment()["cores"] >= 1
     info = summary["engines"]["fft"]
     assert set(info["median_seconds"]) == {"256", "512", "1024"}
     assert info["slope"] is not None

@@ -148,6 +148,25 @@ def test_document_validation_round_trip(tmp_path):
     assert cli.dumps_document(rebuilt) == doc_path.read_text()
 
 
+def test_dc_pin_off_the_grid_round_trips(tmp_path):
+    # r = 0 is not a grid radius here; only the dc-first pin may use it.
+    doc_path = _decompose(tmp_path, _synth(tmp_path), extra=("--radii", "0.1:0.1:0.8"))
+    doc = json.loads(doc_path.read_text())
+    assert 0.0 not in doc["grid"]["radii"]
+    assert doc["steps"][0]["a_radius"] == 0.0
+    d, errors = cli.decomposition_from_document(doc)
+    rebuilt = cli.document_from_decomposition(d, errors, doc["dc_first"])
+    assert cli.dumps_document(rebuilt) == doc_path.read_text()
+    doc["dc_first"] = False
+    with pytest.raises(ValueError, match="outside the grid"):
+        cli.decomposition_from_document(doc)
+
+
+def _pole_fields(radius, j, n):
+    a = radius * np.exp(2j * np.pi * j / n)
+    return {"a_radius": radius, "a_re": a.real, "a_im": a.imag}
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc.pop("steps"),
     lambda doc: doc.update(schema_version=99),
@@ -160,6 +179,9 @@ def test_document_validation_round_trip(tmp_path):
     lambda doc: doc["steps"][0].update(a_angle_index=10**6),
     lambda doc: doc["steps"][0].update(a_angle_index=-1),
     lambda doc: doc["steps"][3].update(a_re=doc["steps"][3]["a_re"] + 0.01),
+    # A consistent pole whose radius is not one of the grid's.
+    lambda doc: doc["steps"][3].update(_pole_fields(
+        0.55, doc["steps"][3]["a_angle_index"], doc["n_samples"])),
 ])
 def test_corrupt_documents_are_rejected(tmp_path, capsys, mutate):
     doc_path = _decompose(tmp_path, _synth(tmp_path))
@@ -206,6 +228,14 @@ def test_random_synth_seed_reproducibility(tmp_path):
     cli.run_command(["synth", "random", "--samples", "64", "--seed", "8",
                      "--output", str(c_path)])
     assert a.read_bytes() != c_path.read_bytes()
+
+
+def test_zero_signal_writes_empty_document(tmp_path):
+    sig = tmp_path / "zero.csv"
+    signals.save_signal_csv(sig, np.zeros(64))
+    doc = json.loads(_decompose(tmp_path, sig).read_text())
+    assert doc["steps"] == []
+    assert doc["relative_errors"] == []
 
 
 def test_missing_input_file_reports_error(tmp_path, capsys):
