@@ -98,39 +98,60 @@ def document_from_decomposition(d, errors, dc_first):
     }
 
 
+def _as_float(value, key):
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("document field %r has the wrong type" % key)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("document field %r is out of range" % key) from None
+
+
 def _require(doc, key, kind):
     if key not in doc:
         raise ValueError("document is missing %r" % key)
     value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if kind is float:
+        return _as_float(value, key)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError("document field %r has the wrong type" % key)
     return value
 
 
+def _require_numbers(doc, key):
+    """The list doc[key] as floats; every entry a finite, non-negative number."""
+    values = [_as_float(v, key) for v in _require(doc, key, list)]
+    if not all(0.0 <= v < np.inf for v in values):
+        raise ValueError("document field %r has non-finite or negative entries" % key)
+    return values
+
+
 def decomposition_from_document(doc):
     """Validate a parsed document and rebuild the Decomposition.
 
-    Checks the invariants the file format promises: schema version, shape
-    consistency, finite values, poles inside the disc, angle indices on the
-    sample lattice, stored pole values equal to a_radius e^{2 pi i j / N}
-    (to 1e-12), radii on the grid (or the dc-first pin a = 0 at step 1), and
-    a non-increasing residual-energy column.
+    Checks the invariants the file format promises: schema version, an
+    engine from core.ENGINES, shape consistency, JSON numbers where numbers
+    are due (finite, and non-negative in the lists), poles inside the disc,
+    angle indices on the sample lattice, stored pole values equal to
+    a_radius e^{2 pi i j / N} (to 1e-12), radii on the grid (or the dc-first
+    pin a = 0 at step 1), and a non-increasing residual-energy column.
     """
     if _require(doc, "schema_version", int) != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % doc["schema_version"])
     n = _require(doc, "n_samples", int)
     engine = _require(doc, "engine", str)
+    if engine not in core.ENGINES:
+        raise ValueError("document engine %r is not one of %s" % (engine, core.ENGINES))
     dc_first = _require(doc, "dc_first", bool)
     grid_doc = _require(doc, "grid", dict)
-    grid = core.ParameterGrid(tuple(float(r) for r in _require(grid_doc, "radii", list)),
+    grid = core.ParameterGrid(tuple(_require_numbers(grid_doc, "radii")),
                               _require(grid_doc, "angular_count", int))
     if grid.angular_count != n:
         raise ValueError("grid angular_count %d does not match n_samples %d"
                          % (grid.angular_count, n))
     raw_steps = _require(doc, "steps", list)
-    errors = [float(e) for e in _require(doc, "relative_errors", list)]
+    errors = _require_numbers(doc, "relative_errors")
     if len(errors) != len(raw_steps):
         raise ValueError("relative_errors length %d does not match %d steps"
                          % (len(errors), len(raw_steps)))

@@ -24,8 +24,26 @@ stays in cache through all of its stages instead of the whole field
 streaming through memory once per stage. The leaf size and the block
 budget are fixed constants, not options.
 
+The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
+M N K <= 32768), which OpenBLAS computes on the calling thread. One product
+per row would be split over a second BLAS thread; that saves little on an
+idle machine, but OpenBLAS's worker spins between calls, so when another
+process holds the second core the transform runs at about half speed.
+With OpenBLAS a tile gives each entry the same bits as the whole product.
+
+Weighted rows are input-pruned (Skinner, "Pruning the decimation
+in-time FFT algorithm", 1976). Once r^l underflows, a row's input is a
+prefix of Q = N / P nonzero entries; after bit reversal they sit every P
+positions, so the first log2(P) butterfly levels only copy. When P is at
+least the leaf size, the row skips those levels and runs the next four as
+the dense leaf with a stride-P pre-twiddle folded into its matrix, one
+(Q/16, 16) x (16, 16 P) product, then only the stages from span 32 P on.
+The weighted prefix of a pruned row has its subnormal parts set to zero,
+the rule the weights already follow: a tiny weight times a small
+coefficient is subnormal, and the pre-twiddle would copy it P-fold.
+
 All sizes must be exact powers of two. Twiddle tables, leaf matrices and
-bit-reversal index vectors are cached per size and published read-only.
+bit-reversal index vectors are cached and published read-only.
 """
 
 from __future__ import annotations
@@ -43,8 +61,11 @@ __all__ = [
     "weighted_inverse_grid",
 ]
 
-_LEAF = 16          # points per dense leaf transform
+_LEAF = 16          # points per dense leaf transform; also the least pruned stride
 _BLOCK = 1 << 16    # complex entries per block of rows: 1 MiB, inside L2
+_TILE = 2048        # outputs per BLAS product of the leaf: M N K <= 32768
+_TILE_WIDTH = 64    # columns per BLAS product of a pruned leaf
+_TINY = np.finfo(np.float64).tiny
 
 
 class _Plan(NamedTuple):
@@ -53,6 +74,24 @@ class _Plan(NamedTuple):
     rev: np.ndarray
     forward: tuple
     inverse: tuple
+
+
+class _Block(NamedTuple):
+    """Consecutive nonzero-radius grid rows [start, stop) with one prefix length Q.
+
+    `weights` holds each row's scaled r^l for l < Q, bit-reversed within Q,
+    and `gather` is that bit reversal, so the row's transform input is
+    weights * c[gather]. `leaf` is the inverse leaf, pre-twiddled for the
+    stride P = N / Q when the row is pruned, and `stages` the size-N
+    stages that follow it.
+    """
+
+    start: int
+    stop: int
+    weights: np.ndarray
+    gather: np.ndarray
+    leaf: np.ndarray
+    stages: tuple
 
 
 def _checked_length(x):
@@ -95,30 +134,56 @@ def _plan(n):
     while span <= n:
         stages.append(np.ascontiguousarray(w[:: n // span]))
         span *= 2
-    inverse = (np.conj(dense), [np.conj(t) for t in stages])
+    inverse = (np.conj(dense), tuple(np.conj(t) for t in stages))
     _read_only(rev, dense, inverse[0], *stages, *inverse[1])
-    return _Plan(rev, (dense, stages), inverse)
+    return _Plan(rev, (dense, tuple(stages)), inverse)
 
 
-def _transform(x, out, direction):
-    """Transform the bit-reversed rows of `x` into `out`, both (B, N).
+@lru_cache(maxsize=32)
+def _pruned_leaf(p):
+    """Inverse leaf for input nonzero only at every p-th bit-reversed entry.
 
-    The dense leaf replaces the first log2(L) radix-2 stages. It is one
-    stacked matmul, which numpy evaluates as one fixed-shape (N/L, L)
-    product per row, so a row's result never depends on how many rows share
-    the call (BLAS rounds a product differently as its row count changes).
-    The remaining stages run in place on `out`, which must be C-contiguous:
+    With u_b = x[b p], the four levels after the log2(p) copy-only ones give
+    out[(16 g + k) p + m] = sum_b u_{16 g + b} W_16^{k rev(b)} W_{16 p}^{m rev(b)},
+    W_L = e^{+i 2 pi / L}, rev the 4-bit reversal. Entry [b, (k, m)] of the
+    returned (16, 16 p) matrix is that product of twiddles, so the levels are
+    one product u.reshape(-1, 16) @ leaf written in natural order.
+    """
+    dense = _plan(_LEAF).inverse[0]
+    exponents = np.outer(_bit_reversal_indices(_LEAF), np.arange(p)) % (_LEAF * p)
+    twiddle = np.exp(2j * np.pi * exponents / (_LEAF * p))
+    leaf = (dense[:, :, None] * twiddle[:, None, :]).reshape(_LEAF, _LEAF * p)
+    _read_only(leaf)
+    return leaf
+
+
+def _transform(x, out, leaf, stages):
+    """Transform the bit-reversed rows of `x` into `out` (B, N).
+
+    `x` is (B, N) for a full transform, or (B, Q) holding the nonzero
+    entries of pruned rows with a `leaf` from :func:`_pruned_leaf`. The
+    leaf is one stacked matmul, which numpy evaluates as fixed-shape tile
+    products inside a row, so a row's result never depends on how many rows
+    share the call (BLAS rounds a product differently as its row count
+    changes), and no product is large enough for BLAS to use a second
+    thread. The `stages` then run in place on `out`, which must be C-contiguous:
     the per-stage reshape below must alias it, and numpy returns copies for
     reshapes of non-C-ordered arrays, which would silently discard every
-    update. `x` is clobbered as scratch.
+    update. `x` is clobbered as scratch when it is large enough.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
         raise ValueError("transform buffers must be C-contiguous")
-    dense, stages = direction
-    leaf = dense.shape[0]
-    rows = out.shape[0]
-    np.matmul(x.reshape(rows, -1, leaf), dense, out=out.reshape(rows, -1, leaf))
-    scratch = x.reshape(-1)[: out.size // 2]
+    # Tile t of block i is rows [i m, i m + m) of the (B Q / k, k) input times
+    # columns [t w, t w + w) of the leaf; m divides Q / k, so no tile spans rows.
+    k, width = leaf.shape
+    w = min(width, _TILE_WIDTH)
+    m = min(x.shape[1] // k, _TILE // w)
+    np.matmul(x.reshape(-1, 1, m, k), leaf.reshape(k, -1, w).transpose(1, 0, 2),
+              out=out.reshape(-1, m, width // w, w).transpose(0, 2, 1, 3))
+    scratch = x.reshape(-1)
+    if scratch.size < out.size // 2:
+        scratch = np.empty(out.size // 2, dtype=out.dtype)
+    scratch = scratch[: out.size // 2]
     for tw in stages:
         half = tw.shape[0]
         blocks = out.reshape(-1, 2 * half)
@@ -145,7 +210,7 @@ def _dft(x, inverse):
     plan = _plan(n)
     y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
     out = np.empty(n, dtype=np.complex128)
-    _transform(y[None], out[None], plan.inverse if inverse else plan.forward)
+    _transform(y[None], out[None], *(plan.inverse if inverse else plan.forward))
     if inverse:
         out /= n
     return out
@@ -176,40 +241,60 @@ def dft_inverse(c):
 
 @lru_cache(maxsize=32)
 def _radius_tables(radii, n):
-    """Per-grid tables: bit-reversed weight rows and row blocks.
+    """Per-grid tables: one :class:`_Block` per run of rows with equal Q.
 
-    radii is a tuple of floats (hashable for the cache). Rows of `powers`
-    are the running products 1, r, r^2, ... times the row's output scale,
-    already permuted into bit-reversed column order so the per-call work is
-    one gather of c plus the butterflies. Weights below the smallest normal
-    double are set to 0: they add nothing at double precision, and
-    subnormal operands would send every butterfly over them down the slow
-    subnormal path. `blocks` lists [start, stop) runs of consecutive nonzero
-    radii, each at most _BLOCK entries, so all stages of a block run in
-    cache.
+    radii is a tuple of floats (hashable for the cache). A row's weights are
+    the running products 1, r, r^2, ... times its output scale. Weights
+    below the smallest normal double are set to 0: they add nothing at
+    double precision, and subnormal operands would send every butterfly
+    over them down the slow subnormal path. Q is the smallest power of two
+    that is at least the leaf size and covers the last nonzero weight; a row
+    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Blocks
+    are runs of consecutive nonzero radii with equal Q, each at most _BLOCK
+    entries of output, so all stages of a block run in cache. Only the
+    weight prefixes are kept.
     """
-    rev = _plan(n).rev
-    r = np.asarray(radii, dtype=np.float64)
-    powers = np.empty((r.shape[0], n))
-    powers[:, 0] = 1.0
-    powers[:, 1:] = r[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    # 1 - r^N underflows to 1 for moderate N; harmless, it is the exact limit.
-    scales = np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
-    powers *= scales[:, None]
-    powers[powers < np.finfo(np.float64).tiny] = 0.0
-    powers = np.ascontiguousarray(powers[:, rev])
-    _read_only(powers)
-    rows = max(1, _BLOCK // n)
-    blocks = []
-    for s, radius in enumerate(radii):
-        if radius == 0.0:
+    plan = _plan(n)
+    budget = max(1, _BLOCK // n)
+    gathers = {n: plan.rev}
+    runs = []
+    for s, r in enumerate(radii):
+        if r == 0.0:
             continue
-        if blocks and blocks[-1][1] == s and s - blocks[-1][0] < rows:
-            blocks[-1][1] = s + 1
+        powers = np.full(n, r)
+        powers[0] = 1.0
+        np.cumprod(powers, out=powers)
+        # 1 - r^N underflows to 1 for moderate N; harmless, it is the exact limit.
+        powers *= np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
+        powers[powers < _TINY] = 0.0
+        # The weights fall monotonically, so the nonzero ones are a prefix.
+        nonzero = np.count_nonzero(powers)
+        q = _LEAF
+        while q < nonzero:
+            q *= 2
+        if n // q < _LEAF:
+            q = n
+        if q not in gathers:
+            gathers[q] = _bit_reversal_indices(q)
+        # Keep only the bit-reversed prefix; the full row is freed here.
+        prefix = powers[gathers[q]]
+        run = runs[-1] if runs else None
+        if run and run[1] == s and run[2] == q and s - run[0] < budget:
+            run[1] = s + 1
+            run[3].append(prefix)
         else:
-            blocks.append([s, s + 1])
-    return powers, tuple(map(tuple, blocks))
+            runs.append([s, s + 1, q, [prefix]])
+    blocks = []
+    for start, stop, q, prefixes in runs:
+        p = n // q
+        weights = np.stack(prefixes)
+        _read_only(weights, gathers[q])
+        if p == 1:
+            leaf, stages = plan.inverse
+        else:
+            leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
+        blocks.append(_Block(start, stop, weights, gathers[q], leaf, stages))
+    return tuple(blocks)
 
 
 def _checked_radius(r):
@@ -242,23 +327,27 @@ def weighted_inverse_grid(c, radii):
     """Weighted inverse rows for every radius in `radii`, as an (M, N) array.
 
     Rows run in blocks of at most _BLOCK entries (one row at N = 65536), so
-    every stage of a block works in cache. The leaf applies per row and the
-    stages apply elementwise, so a row's arithmetic does not depend on the
-    block it shares: each row is identical to a single-radius call. At r = 0
-    only the l = 0 term survives, and the row is the constant c_0 / N.
+    every stage of a block works in cache. Each block transforms only its
+    rows' nonzero weight prefix of length Q (see :func:`_radius_tables`);
+    a pruned row's weighted prefix has its subnormal parts set to zero
+    first. The leaf applies per row and the stages apply elementwise, so a
+    row's arithmetic does not depend on the block it shares: each row is
+    identical to a single-radius call. At r = 0 only the l = 0 term
+    survives, and the row is the constant c_0 / N.
     """
     c, n = _checked_length(c)
     radii = tuple(_checked_radius(r) for r in radii)
     if not radii:
         raise ValueError("need at least one radius")
-    plan = _plan(n)
-    powers, blocks = _radius_tables(radii, n)
-    crev = np.asarray(c, dtype=np.complex128)[plan.rev]
+    c = np.asarray(c, dtype=np.complex128)
     out = np.empty((len(radii), n), dtype=np.complex128)
     for s, r in enumerate(radii):
         if r == 0.0:
-            out[s] = crev[0] / n
-    for start, stop in blocks:
-        y = powers[start:stop] * crev
-        _transform(y, out[start:stop], plan.inverse)
+            out[s] = c[0] / n
+    for block in _radius_tables(radii, n):
+        y = block.weights * c[block.gather]
+        if block.gather.shape[0] < n:
+            parts = y.view(np.float64)
+            parts[np.abs(parts) < _TINY] = 0.0
+        _transform(y, out[block.start:block.stop], block.leaf, block.stages)
     return out

@@ -182,6 +182,21 @@ def _pole_fields(radius, j, n):
     # A consistent pole whose radius is not one of the grid's.
     lambda doc: doc["steps"][3].update(_pole_fields(
         0.55, doc["steps"][3]["a_angle_index"], doc["n_samples"])),
+    lambda doc: doc.update(engine="warp"),
+    # List entries must be finite JSON numbers (not booleans or strings),
+    # and the relative errors non-negative.
+    lambda doc: doc["relative_errors"].__setitem__(0, None),
+    lambda doc: doc["relative_errors"].__setitem__(0, [0.5]),
+    lambda doc: doc["relative_errors"].__setitem__(0, True),
+    lambda doc: doc["relative_errors"].__setitem__(0, "0.5"),
+    lambda doc: doc["relative_errors"].__setitem__(1, -1.0),
+    lambda doc: doc["relative_errors"].__setitem__(2, float("nan")),
+    lambda doc: doc["relative_errors"].__setitem__(0, 10**400),
+    lambda doc: doc["grid"]["radii"].__setitem__(1, None),
+    lambda doc: doc["grid"]["radii"].__setitem__(1, [0.1]),
+    lambda doc: doc["grid"]["radii"].__setitem__(0, False),
+    lambda doc: doc["grid"]["radii"].__setitem__(2, repr(doc["grid"]["radii"][2])),
+    lambda doc: doc["steps"][1].update(coeff_re=10**400),
 ])
 def test_corrupt_documents_are_rejected(tmp_path, capsys, mutate):
     doc_path = _decompose(tmp_path, _synth(tmp_path))

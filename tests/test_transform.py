@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastafd import transform
+from fastafd import core, oracle, transform
 
 
 def _random_complex(n, seed):
@@ -219,11 +219,19 @@ def test_grid_rows_match_single_radius_calls():
     _assert_grid_rows_match_single_radius_calls(64, (0.0, 0.25, 0.5, 0.8))
 
 
+def _block_layout(radii, n):
+    # (start, stop, P) per block; P = N / Q is the row's pruning stride.
+    return [(b.start, b.stop, n // b.gather.shape[0])
+            for b in transform._radius_tables(radii, n)]
+
+
 def test_grid_rows_match_single_radius_calls_across_blocks():
-    # Four rows per block at this size: the r = 0 row is written in closed
-    # form and the other eight rows run as two blocks of four.
+    # Up to four rows per block at this size, one prefix length per block:
+    # the r = 0 row is written in closed form, r = 0.1, 0.2 are pruned with
+    # P = 32, r = 0.3 ... 0.5 with P = 16, and r = 0.6 ... 0.8 (P = 8 and 4,
+    # below the leaf size) run as one unpruned block.
     radii = tuple(k / 10 for k in range(9))
-    assert transform._radius_tables(radii, 16384)[1] == ((1, 5), (5, 9))
+    assert _block_layout(radii, 16384) == [(1, 3, 32), (3, 6, 16), (6, 9, 1)]
     _assert_grid_rows_match_single_radius_calls(16384, radii)
 
 
@@ -233,7 +241,7 @@ def test_grid_zero_radius_row_between_others():
     n = 32
     c = transform.dft_forward(_random_complex(n, seed=6))
     rows = transform.weighted_inverse_grid(c, (0.3, 0.0, 0.5))
-    assert transform._radius_tables((0.3, 0.0, 0.5), n)[1] == ((0, 1), (2, 3))
+    assert _block_layout((0.3, 0.0, 0.5), n) == [(0, 1, 1), (2, 3, 1)]
     assert np.array_equal(rows[1], np.full(n, c[0] / n))
     assert np.array_equal(rows[0], transform.weighted_inverse(c, 0.3))
     assert np.array_equal(rows[2], transform.weighted_inverse(c, 0.5))
@@ -244,11 +252,79 @@ def test_radius_tables_hold_no_subnormal_weights():
     # range long before l = N; such weights must be stored as exact zeros.
     n = 65536
     radii = tuple(k / 10 for k in range(9))
-    powers, blocks = transform._radius_tables(radii, n)
-    assert blocks == tuple((s, s + 1) for s in range(1, 9))  # one row per block
+    blocks = transform._radius_tables(radii, n)
+    layout = _block_layout(radii, n)
+    assert [b[:2] for b in layout] == [(s, s + 1) for s in range(1, 9)]  # one row per block
+    assert all(p == 1 or p >= 16 for _, _, p in layout)
     tiny = np.finfo(np.float64).tiny
-    assert not np.any((powers > 0.0) & (powers < tiny))
-    assert np.all(powers >= 0.0)
+    for b in blocks:
+        assert not np.any((b.weights > 0.0) & (b.weights < tiny))
+        assert np.all(b.weights >= 0.0)
+
+
+def _last_weight_index(r, n):
+    # Largest l whose scaled weight r^l sqrt(1-r^2)/(N(1-r^N)) is normal.
+    (block,) = transform._radius_tables((r,), n)
+    return int(block.gather[np.flatnonzero(block.weights[0])].max())
+
+
+@pytest.mark.parametrize("r", [k / 10 for k in range(1, 9)])
+def test_pruned_single_mode_closed_form(r):
+    # G = z^l with l the last nonzero weight index of the row: the pruned
+    # leaf must carry it exactly (P = 128, 128, 64, 64, 64, 32, 32, 16).
+    n = 65536
+    assert _block_layout((r,), n)[0][2] >= 16
+    l = _last_weight_index(r, n)
+    c = np.zeros(n, dtype=np.complex128)
+    c[l] = n
+    expected = (np.sqrt(1.0 - r * r) * r ** l / (1.0 - r ** n)
+                * np.exp(2j * np.pi * (np.arange(n) * l % n) / n))
+    out = transform.weighted_inverse(c, r)
+    assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
+    # One index past the prefix the weight is an exact zero: so is the row.
+    c[l], c[l + 1] = 0.0, n
+    assert not np.any(transform.weighted_inverse(c, r))
+
+
+def test_pruned_rows_match_direct_field():
+    # At N = 8192 the rows r = 0.1 and 0.2 are pruned with P = 16.
+    n = 8192
+    radii = (0.1, 0.2)
+    assert _block_layout(radii, n) == [(0, 2, 16)]
+    g = _random_complex(n, seed=12)
+    fast = transform.weighted_inverse_grid(transform.dft_forward(g), radii)
+    direct = oracle.field_direct(g, core.ParameterGrid(radii, n))
+    assert np.max(np.abs(fast - direct)) < 1e-12 * np.max(np.abs(direct))
+    assert np.argmax(np.abs(fast)) == np.argmax(np.abs(direct))
+
+
+@pytest.mark.parametrize("n, p", [(64, 1), (65536, 1), (65536, 16), (65536, 128),
+                                  (8192, 512)])
+def test_leaf_tiles_match_one_product(n, p):
+    # The leaf runs as BLAS tiles of at most 2048 outputs; the tiles of two
+    # rows together must give each row's one (Q/16, 16) x (16, 16 P) product.
+    q = n // p
+    leaf = transform._plan(n).inverse[0] if p == 1 else transform._pruned_leaf(p)
+    x = np.stack([_random_complex(q, seed=13), _random_complex(q, seed=14)])
+    expected = np.stack([(row.reshape(-1, 16) @ leaf).reshape(n) for row in x])
+    out = np.empty((2, n), dtype=np.complex128)
+    transform._transform(x, out, leaf, ())
+    assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
+
+
+def test_pruned_row_flushes_subnormal_weighted_coefficients():
+    # A normal weight times a small coefficient can be subnormal. Such a
+    # product is set to zero before the pruned leaf, so the row is
+    # bit-identical to the row with that coefficient zeroed; left in, its
+    # ~1e-316 would move outputs of ~1e-304 by far more than an ulp.
+    n, r = 8192, 0.1
+    l = _last_weight_index(r, n)
+    c = np.zeros(n, dtype=np.complex128)
+    c[l] = n
+    zeroed = transform.weighted_inverse(c, r)
+    c[l - 1] = 1e-10 + 1e-10j
+    assert np.array_equal(transform.weighted_inverse(c, r), zeroed)
+    assert np.any(zeroed)
 
 
 def test_weighted_domain_errors():
