@@ -120,15 +120,14 @@ def run_benchmark(sizes, terms=10, repeats=6, engines=core.ENGINES):
     -------
     BenchReport
     """
-    sizes = [int(n) for n in sizes]
-    for n in sizes:
-        if n < 8 or n & (n - 1):
-            raise ValueError("benchmark size must be a power of two >= 8, got %d" % n)
+    sizes = [core._signal_length(int(n)) for n in sizes]
     if not sizes:
         raise ValueError("need at least one size")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     engines = list(engines)
+    if not engines:
+        raise ValueError("need at least one engine")
     for engine in engines:
         if engine not in core.ENGINES:
             raise ValueError("unknown engine label %r" % (engine,))

@@ -5,9 +5,11 @@ CSV, `decompose` runs the greedy decomposition and persists the step list
 plus the per-term relative-error trace as JSON, `reconstruct` rebuilds a
 partial sum from such a document, and `bench` times the engines.
 
-JSON output is byte-deterministic for identical inputs: keys are emitted in
-a fixed order and every float is serialized with 17 significant digits,
-which round-trips double precision exactly.
+JSON output is the standard `json` encoder's, so it is byte-deterministic
+for identical inputs: keys are written in a fixed order, one list entry per
+line, and every float in Python's shortest form that round-trips double
+precision exactly. A non-finite float is an error, never a bare `inf` or
+`nan` token.
 
 The decompose default pins the first atom at a = 0 (the mean term), so the
 error trace starts at 1.0 for zero-mean inputs and adaptive selection begins
@@ -34,37 +36,8 @@ SCHEMA_VERSION = 1
 # deterministic JSON
 
 
-def _emit(value, indent):
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            "%s  %s: %s" % (pad, json.dumps(str(k)), _emit(v, indent + 1))
-            for k, v in value.items())
-        return "{\n%s\n%s}" % (inner, pad)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in value):
-            return "[" + ", ".join(_emit(v, indent) for v in value) + "]"
-        inner = ",\n".join("%s  %s" % (pad, _emit(v, indent + 1)) for v in value)
-        return "[\n%s\n%s]" % (inner, pad)
-    raise TypeError("cannot serialize %r" % type(value))
-
-
 def dumps_document(doc):
-    return _emit(doc, 0) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +110,8 @@ def decomposition_from_document(doc):
     a_radius e^{2 pi i j / N} (to 1e-12), radii on the grid (or the dc-first
     pin a = 0 at step 1), and a non-increasing residual-energy column.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("document is not a JSON object")
     if _require(doc, "schema_version", int) != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % doc["schema_version"])
     n = _require(doc, "n_samples", int)
@@ -238,9 +213,9 @@ def _cmd_decompose(args):
     d = core.decompose(g, grid, max_terms=args.terms, threshold=args.threshold,
                        engine=args.engine, dc_first=args.dc_first)
     errors = core.error_trace(d, g)
-    doc = document_from_decomposition(d, errors, args.dc_first)
+    text = dumps_document(document_from_decomposition(d, errors, args.dc_first))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dumps_document(doc))
+        fh.write(text)
     if errors:
         print("wrote %s: %d terms, final relative error %.6g"
               % (args.output, len(d.steps), errors[-1]))

@@ -69,13 +69,18 @@ def radius_range(start, step, stop):
     return tuple(start + k * step for k in range(count))
 
 
+def _signal_length(n):
+    """The sample-count rule: n must be a power of two >= 8. Returns n."""
+    if n < 8 or n & (n - 1):
+        raise ValueError("sample count must be a power of two >= 8, got %d" % n)
+    return n
+
+
 def _as_signal(x):
     g = np.asarray(x, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("signal must be 1-d, got shape %r" % (g.shape,))
-    n = g.shape[0]
-    if n < 8 or n & (n - 1):
-        raise ValueError("signal length must be a power of two >= 8, got %d" % n)
+    _signal_length(g.shape[0])
     if not np.all(np.isfinite(g)):
         raise ValueError("signal contains non-finite samples")
     return g
@@ -106,10 +111,8 @@ class ParameterPoint:
     value: complex
 
     def __post_init__(self):
-        if not 0.0 <= self.radius < 1.0:
-            raise ValueError("radius must satisfy 0 <= r < 1, got %g" % self.radius)
-        if abs(self.value) >= 1.0:
-            raise ValueError("pole modulus must be < 1")
+        transform._checked_radius(self.radius)
+        _pole_value(self.value)
 
 
 @dataclass(frozen=True)
@@ -124,18 +127,13 @@ class ParameterGrid:
     angular_count: int
 
     def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
+        radii = tuple(transform._checked_radius(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
         if not radii:
             raise ValueError("grid needs at least one radius")
-        for r in radii:
-            if not 0.0 <= r < 1.0:
-                raise ValueError("grid radii must lie in [0, 1), got %g" % r)
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("grid radii must be strictly increasing")
-        n = self.angular_count
-        if n < 8 or n & (n - 1):
-            raise ValueError("angular_count must be a power of two >= 8, got %d" % n)
+        _signal_length(self.angular_count)
         if radii[-1] > RADIUS_WARN_LIMIT:
             warnings.warn(
                 "largest grid radius %g exceeds %g; the 1/(1-r^N) weighting "
@@ -202,18 +200,11 @@ def analytic_projection(x):
     -------
     ndarray of complex
     """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        if np.any(x.imag != 0):
-            raise ValueError("analytic projection expects real input")
-        x = x.real
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite samples")
-    spectrum = transform.dft_forward(x)
-    n = spectrum.shape[0]
-    if n < 8:
-        raise ValueError("need at least 8 samples, got %d" % n)
-    half = n // 2
+    g = _as_signal(x)
+    if np.any(g.imag != 0):
+        raise ValueError("analytic projection expects real input")
+    spectrum = transform.dft_forward(g.real)
+    half = spectrum.shape[0] // 2
     spectrum[1:half] *= 2.0
     spectrum[half + 1:] = 0.0
     return transform.dft_inverse(spectrum)
@@ -321,8 +312,15 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     Returns
     -------
     Decomposition
-        Step sequence with the final remainder attached; empty for a
-        zero-energy input.
+        Step sequence with the final remainder attached; empty for an
+        all-zero input.
+
+    Raises
+    ------
+    ValueError
+        For a signal or grid outside the rules above, and for a signal
+        whose energy does not fit in a double: it overflows to infinity,
+        or it underflows to 0 although some sample is nonzero.
     """
     g = _as_signal(g)
     if grid.angular_count != g.shape[0]:
@@ -338,7 +336,11 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     from . import oracle  # runtime import: oracle uses this module's types
 
     initial = discrete_energy(g)
+    if not np.isfinite(initial):
+        raise ValueError("signal energy overflows a double")
     if initial == 0.0:
+        if np.any(g):
+            raise ValueError("signal energy underflows to 0 but samples are nonzero")
         return Decomposition((), grid, g.shape[0], 0.0, engine, remainder=g.copy())
 
     remainder = g

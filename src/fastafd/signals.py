@@ -28,6 +28,7 @@ _CSV_ROW = np.dtype([("i", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
 def _sample_times(n):
+    n = core._signal_length(int(n))
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -40,7 +41,7 @@ def synth_f1(n):
     Constants are fixed as written (0.3679 is not rounded-from-1/e here,
     it is the definition).
     """
-    t = _sample_times(int(n))
+    t = _sample_times(n)
     return (0.0247 * np.exp(3j * t) + 0.355 * np.exp(2j * t)) \
         / (1.0 - 0.3679 * np.exp(1j * t))
 
@@ -52,11 +53,10 @@ def synth_f2(n):
     lattice points are forced explicitly because sin(pi) evaluates to ~1e-16
     rather than 0 in floating point.
     """
-    n = int(n)
     t = _sample_times(n)
     step = np.sign(np.sin(t))
     step[0] = 0.0
-    step[n // 2] = 0.0
+    step[t.shape[0] // 2] = 0.0
     return core.analytic_projection(step)
 
 
@@ -75,9 +75,7 @@ def synth_random_hardy(n, degree=None, seed=0):
     seed : int
         Stream seed.
     """
-    n = int(n)
-    if n < 8 or n & (n - 1):
-        raise ValueError("sample count must be a power of two >= 8, got %d" % n)
+    n = core._signal_length(int(n))
     if degree is None:
         degree = n // 4
     degree = int(degree)
@@ -120,9 +118,7 @@ def load_signal_csv(path):
                                delimiter=",", comments=None, ndmin=1)
         except ValueError as exc:
             raise ValueError("malformed rows in %s: %s" % (path, exc)) from None
-    n = table.shape[0]
-    if n < 8 or n & (n - 1):
-        raise ValueError("sample count must be a power of two >= 8, got %d" % n)
+    n = core._signal_length(table.shape[0])
     if not np.array_equal(table["i"], np.arange(n)):
         raise ValueError("index column out of order in %s" % path)
     # Columns go in separately: re + 1j * im would turn -0.0 into +0.0.

@@ -40,6 +40,8 @@ def test_run_benchmark_validation():
         bench.run_benchmark([64], repeats=0)
     with pytest.raises(ValueError):
         bench.run_benchmark([64], engines=("warp",))
+    with pytest.raises(ValueError):
+        bench.run_benchmark([64], engines=())
 
 
 def test_fit_scaling_quadratic_law():

@@ -210,6 +210,79 @@ def test_corrupt_documents_are_rejected(tmp_path, capsys, mutate):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", "true"])
+def test_non_object_documents_are_rejected(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = cli.run_command(["reconstruct", "--input", str(bad),
+                            "--terms", "1", "--output", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+# Written by the earlier hand-rolled encoder: 17-digit floats, `0` for 0.0,
+# scalar lists on one line (f1, N = 64, radii 0:0.4:0.8, 3 terms).
+EARLIER_DOCUMENT = """{
+  "schema_version": 1,
+  "n_samples": 64,
+  "engine": "fft",
+  "dc_first": true,
+  "grid": {
+    "radii": [0, 0.40000000000000002, 0.80000000000000004],
+    "angular_count": 64
+  },
+  "steps": [
+    {
+      "k": 1,
+      "a_radius": 0,
+      "a_angle_index": 0,
+      "a_re": 0,
+      "a_im": 0,
+      "coeff_re": -2.2551405187698492e-17,
+      "coeff_im": -1.1709383462843448e-17,
+      "residual_energy": 0.15392010108973739
+    },
+    {
+      "k": 2,
+      "a_radius": 0.80000000000000004,
+      "a_angle_index": 0,
+      "a_re": 0.80000000000000004,
+      "a_im": 0,
+      "coeff_re": 0.25491003417354874,
+      "coeff_im": -1.4110088123551583e-17,
+      "residual_energy": 0.088941057143545124
+    },
+    {
+      "k": 3,
+      "a_radius": 0.40000000000000002,
+      "a_angle_index": 32,
+      "a_re": -0.40000000000000002,
+      "a_im": 4.8985871965894131e-17,
+      "coeff_re": 0.23813606954716438,
+      "coeff_im": 1.4233145584042098e-18,
+      "residual_energy": 0.032232269524173192
+    }
+  ],
+  "relative_errors": [1.0000000000000002, 0.57783912896270351, 0.20940909794089443]
+}
+"""
+
+
+def test_earlier_documents_load_and_reserialize_exactly():
+    d, errors = cli.decomposition_from_document(json.loads(EARLIER_DOCUMENT))
+    text = cli.dumps_document(cli.document_from_decomposition(d, errors, True))
+    again, again_errors = cli.decomposition_from_document(json.loads(text))
+    assert again.steps == d.steps
+    assert again_errors == errors
+    assert [s.point.radius for s in d.steps] == [0.0, 0.8, 0.4]
+
+
+def test_dumps_document_rejects_non_finite_floats():
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli.dumps_document({"relative_errors": [value]})
+
+
 def test_increasing_residual_document_is_rejected(tmp_path, capsys):
     doc_path = _decompose(tmp_path, _synth(tmp_path))
     doc = json.loads(doc_path.read_text())
@@ -243,6 +316,27 @@ def test_random_synth_seed_reproducibility(tmp_path):
     cli.run_command(["synth", "random", "--samples", "64", "--seed", "8",
                      "--output", str(c_path)])
     assert a.read_bytes() != c_path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["f1", "f2"])
+def test_synth_rejects_bad_sample_count(tmp_path, capsys, kind):
+    out = tmp_path / "s.csv"
+    code = cli.run_command(["synth", kind, "--samples", "100", "--output", str(out)])
+    assert code == 1
+    assert "power of two >= 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_signal_reports_error(tmp_path, capsys):
+    sig = tmp_path / "huge.csv"
+    signals.save_signal_csv(sig, 1e160 * signals.synth_f1(64))
+    out = tmp_path / "d.json"
+    with np.errstate(over="ignore"):
+        code = cli.run_command(["decompose", "--input", str(sig),
+                                "--output", str(out)])
+    assert code == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_signal_writes_empty_document(tmp_path):

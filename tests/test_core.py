@@ -367,6 +367,18 @@ def test_decompose_argument_validation():
         core.decompose(np.full(n, np.nan + 0j), grid)
 
 
+def test_decompose_rejects_energy_outside_double_range():
+    g = signals.synth_f1(64)
+    grid = core.ParameterGrid.experiment_default(64)
+    # Samples near 1e160 square past the largest double.
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="overflows"):
+            core.decompose(1e160 * g, grid)
+    # Samples near 1e-170 square to 0, yet the signal is not zero.
+    with pytest.raises(ValueError, match="underflows"):
+        core.decompose(1e-170 * g, grid)
+
+
 # ---------------------------------------------------------------------------
 # basis, reconstruction, errors
 

@@ -1,0 +1,22 @@
+"""Smoke test for the script under scripts/."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_error_tables_prints_both_engines(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["error_tables.py", "--samples", "64",
+                                      "--terms", "3"])
+    runpy.run_path(str(SCRIPTS / "error_tables.py"), run_name="__main__")
+    tables = capsys.readouterr().out.strip().split("\n\n")
+    assert len(tables) == 2
+    for table in tables:
+        lines = table.splitlines()
+        assert lines[1].split() == ["n", "fft", "direct"]
+        rows = [line.split() for line in lines[2:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        for _, fft, direct in rows:
+            assert abs(float(fft) - float(direct)) < 1e-6

@@ -83,6 +83,14 @@ def test_random_hardy_validation():
         < 1e-12 * core.discrete_energy(g) ** 0.5 * 64
 
 
+@pytest.mark.parametrize("generate", [signals.synth_f1, signals.synth_f2],
+                         ids=["f1", "f2"])
+@pytest.mark.parametrize("n", [4, 100])
+def test_generators_reject_bad_sample_counts(generate, n):
+    with pytest.raises(ValueError, match="sample count must be a power of two >= 8"):
+        generate(n)
+
+
 def test_csv_roundtrip_is_bitwise_exact(tmp_path):
     path = tmp_path / "sig.csv"
     g = signals.synth_random_hardy(128, seed=2) * 1e-7
