@@ -18,14 +18,17 @@ remainder energy at every prefix, up to roundoff.
 
 Two interchangeable engines evaluate the selection field: "fft" runs the
 batched weighted inverse transform (O(M N log N) per step), "direct" the
-plain quadrature sums (O(M N^2), see the oracle module). Both see identical
-grids and the same deterministic tie-break; their poles differ only where
-field maxima tie mathematically and roundoff breaks the tie differently.
+plain quadrature sums (O(M N^2), see the oracle module). The fft path
+streams the field to the selection a block of rows at a time, so a step
+never holds the whole M x N field. Both see identical grids and the same
+deterministic tie-break; their poles differ only where field maxima tie
+mathematically and roundoff breaks the tie differently.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -250,19 +253,44 @@ def inner_product_field(c, grid):
 def maximal_selection(field_values, grid):
     """Grid point with the largest |<G, e_a>|^2 and its field value.
 
+    `field_values` is the (M, N) field, or an iterator of (start, rows)
+    blocks that cover its rows in order, as
+    :meth:`transform.BlockStream.blocks` yields them; an array is one
+    block. Each block's |f|^2 and first argmax are taken as the block
+    arrives, and a later block wins only with a strictly larger value, so
+    no more than one block is held at a time.
+
     Ties break deterministically to the smallest radius index, then the
     smallest angle index (exact floating-point comparison, no epsilon band),
-    which is row-major argmax order.
+    which is row-major argmax order, whichever way the rows are blocked.
     """
-    f = np.asarray(field_values)
-    expected = (len(grid.radii), grid.angular_count)
-    if f.shape != expected:
-        raise ValueError("field shape %r does not match grid %r" % (f.shape, expected))
-    if f.size == 0:
-        raise ValueError("empty field")
-    magnitude = f.real ** 2 + f.imag ** 2
-    s, j = np.unravel_index(np.argmax(magnitude), magnitude.shape)
-    return grid.point(int(s), int(j)), complex(f[s, j])
+    m, n = len(grid.radii), grid.angular_count
+    if isinstance(field_values, Iterator):
+        blocks = field_values
+    else:
+        f = np.asarray(field_values)
+        if f.shape != (m, n):
+            raise ValueError("field shape %r does not match grid %r" % (f.shape, (m, n)))
+        blocks = [(0, f)]
+    covered = 0
+    best = None
+    for start, rows in blocks:
+        rows = np.asarray(rows)
+        if start != covered or rows.ndim != 2 or rows.shape[1] != n \
+                or not 0 < rows.shape[0] <= m - start:
+            raise ValueError("block of shape %r at row %d does not continue a "
+                             "field of shape %r after row %d"
+                             % (rows.shape, start, (m, n), covered))
+        magnitude = rows.real ** 2
+        magnitude += rows.imag ** 2
+        s, j = np.unravel_index(np.argmax(magnitude), magnitude.shape)
+        if best is None or magnitude[s, j] > best[0]:
+            best = (magnitude[s, j], start + int(s), int(j), complex(rows[s, j]))
+        covered += rows.shape[0]
+    if covered != m:
+        raise ValueError("blocks cover %d of the field's %d rows" % (covered, m))
+    _, s, j, value = best
+    return grid.point(s, j), value
 
 
 def remainder_update(g, a, c):
@@ -320,7 +348,9 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     ValueError
         For a signal or grid outside the rules above, and for a signal
         whose energy does not fit in a double: it overflows to infinity,
-        or it underflows to 0 although some sample is nonzero.
+        or it underflows to 0 or to a subnormal although some sample is
+        nonzero (subnormal energies keep too few digits for the energy
+        bookkeeping).
     """
     g = _as_signal(g)
     if grid.angular_count != g.shape[0]:
@@ -342,7 +372,14 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
         if np.any(g):
             raise ValueError("signal energy underflows to 0 but samples are nonzero")
         return Decomposition((), grid, g.shape[0], 0.0, engine, remainder=g.copy())
+    if initial < np.finfo(np.float64).tiny:
+        raise ValueError("signal energy %g underflows to a subnormal double; "
+                         "scale the signal up" % initial)
 
+    # One stream serves every step. Its buffers are allocated once, not per
+    # step, so the allocator cannot hand them back to the system between
+    # steps and fault their pages in again.
+    stream = transform.BlockStream(grid.radii, g.shape[0]) if engine == "fft" else None
     remainder = g
     steps = []
     for k in range(max_terms):
@@ -351,7 +388,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
             coeff = complex(np.mean(remainder))
         else:
             if engine == "fft":
-                f = inner_product_field(spectral_coefficients(remainder), grid)
+                f = stream.blocks(spectral_coefficients(remainder))
             else:
                 f = oracle.field_direct(remainder, grid)
             point, coeff = maximal_selection(f, grid)

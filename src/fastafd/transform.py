@@ -22,7 +22,11 @@ matrix product (Van Loan, 1992); the remaining radix-2 stages run on
 blocks of at most 2^16 entries (1 MiB, one row at N = 65536), so a block
 stays in cache through all of its stages instead of the whole field
 streaming through memory once per stage. The leaf size and the block
-budget are fixed constants, not options.
+budget are fixed constants, not options. One loop walks the blocks in row
+order: :func:`weighted_inverse_grid` writes every block into the (M, N)
+result, and :class:`BlockStream` yields each block from one buffer that it
+reuses across fields, so a caller that reduces the rows as they come (the
+selection step) never holds more than one block.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -59,6 +63,7 @@ __all__ = [
     "dft_inverse",
     "weighted_inverse",
     "weighted_inverse_grid",
+    "BlockStream",
 ]
 
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
@@ -94,14 +99,17 @@ class _Block(NamedTuple):
     stages: tuple
 
 
+def _checked_size(n):
+    if n < 2 or n & (n - 1):
+        raise ValueError("length must be a power of two >= 2, got %d" % n)
+    return n
+
+
 def _checked_length(x):
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("expected a 1-d buffer, got shape %r" % (x.shape,))
-    n = x.shape[0]
-    if n < 2 or n & (n - 1):
-        raise ValueError("length must be a power of two >= 2, got %d" % n)
-    return x, n
+    return x, _checked_size(x.shape[0])
 
 
 def _bit_reversal_indices(n):
@@ -157,7 +165,7 @@ def _pruned_leaf(p):
     return leaf
 
 
-def _transform(x, out, leaf, stages):
+def _transform(x, out, leaf, stages, scratch=None):
     """Transform the bit-reversed rows of `x` into `out` (B, N).
 
     `x` is (B, N) for a full transform, or (B, Q) holding the nonzero
@@ -169,7 +177,9 @@ def _transform(x, out, leaf, stages):
     thread. The `stages` then run in place on `out`, which must be C-contiguous:
     the per-stage reshape below must alias it, and numpy returns copies for
     reshapes of non-C-ordered arrays, which would silently discard every
-    update. `x` is clobbered as scratch when it is large enough.
+    update. `scratch` is a flat buffer for the stages, which use its first
+    out.size / 2 entries; it may share memory with `x`, which the leaf has
+    consumed, and by default is `x` itself, or a new buffer if `x` is smaller.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
         raise ValueError("transform buffers must be C-contiguous")
@@ -180,7 +190,8 @@ def _transform(x, out, leaf, stages):
     m = min(x.shape[1] // k, _TILE // w)
     np.matmul(x.reshape(-1, 1, m, k), leaf.reshape(k, -1, w).transpose(1, 0, 2),
               out=out.reshape(-1, m, width // w, w).transpose(0, 2, 1, 3))
-    scratch = x.reshape(-1)
+    if scratch is None:
+        scratch = x.reshape(-1)
     if scratch.size < out.size // 2:
         scratch = np.empty(out.size // 2, dtype=out.dtype)
     scratch = scratch[: out.size // 2]
@@ -323,6 +334,93 @@ def weighted_inverse(c, r):
     return weighted_inverse_grid(c, (r,))[0]
 
 
+def _grid_tables(radii, n):
+    """(M, tables) for validated `radii` at size n."""
+    radii = tuple(_checked_radius(r) for r in radii)
+    if not radii:
+        raise ValueError("need at least one radius")
+    return len(radii), _radius_tables(radii, n)
+
+
+def _row_runs(tables, m):
+    """(start, stop, block) for every run of the M rows, in row order.
+
+    The runs are the blocks of `tables` and, between them, each r = 0 row on
+    its own with block None.
+    """
+    row = 0
+    for block in tables:
+        yield from ((s, s + 1, None) for s in range(row, block.start))
+        yield block.start, block.stop, block
+        row = block.stop
+    yield from ((s, s + 1, None) for s in range(row, m))
+
+
+def _work_buffer(tables, n):
+    """One buffer that holds any block's transform input and stage scratch."""
+    size = max([max(b.weights.size, (b.stop - b.start) * n // 2) for b in tables],
+               default=0)
+    return np.empty(size, dtype=np.complex128)
+
+
+def _weighted_rows(c, m, tables, target, work):
+    """The one loop of the weighted inverse transform.
+
+    Yields (start, rows) for each run of :func:`_row_runs` in row order;
+    `target(start, stop)` returns the C-contiguous (stop - start, N) array
+    the run's rows are written into, and `work` is a :func:`_work_buffer`.
+    """
+    n = c.shape[0]
+    for start, stop, block in _row_runs(tables, m):
+        rows = target(start, stop)
+        if block is None:
+            rows[...] = c[0] / n
+        else:
+            y = work[:block.weights.size].reshape(block.weights.shape)
+            np.multiply(block.weights, c[block.gather], out=y)
+            if block.gather.shape[0] < n:
+                parts = y.view(np.float64)
+                parts[np.abs(parts) < _TINY] = 0.0
+            _transform(y, rows, block.leaf, block.stages, work)
+        yield start, rows
+
+
+class BlockStream:
+    """Weighted inverse rows of one grid, a block at a time, in one buffer.
+
+    `BlockStream(radii, n).blocks(c)` yields (start, rows): rows is a (B, N)
+    array holding rows start, ..., start + B - 1 of
+    :func:`weighted_inverse_grid` for the same c and radii, bit for bit, and
+    the blocks cover the M rows in order. Every block of every call is
+    written into one buffer the size of the tallest block, at most _BLOCK
+    entries (one row when N >= 2^16), and every transform input and stage
+    scratch into one more buffer no larger than that. So a caller that
+    reduces each block as it comes, such as the selection step, runs field
+    after field over the grid without holding the (M, N) field or
+    allocating either buffer again, but a block's rows are valid only
+    until the next block is requested, from this call or another on the
+    same stream.
+    """
+
+    def __init__(self, radii, n):
+        n = _checked_size(int(n))
+        self._m, self._tables = _grid_tables(radii, n)
+        height = max([b.stop - b.start for b in self._tables], default=1)
+        self._buffer = np.empty((height, n), dtype=np.complex128)
+        self._work = _work_buffer(self._tables, n)
+
+    def blocks(self, c):
+        """Iterator of the (start, rows) blocks for the coefficients c."""
+        c, n = _checked_length(c)
+        if n != self._buffer.shape[1]:
+            raise ValueError("coefficient length %d does not match the stream's %d"
+                             % (n, self._buffer.shape[1]))
+        c = np.asarray(c, dtype=np.complex128)
+        return _weighted_rows(c, self._m, self._tables,
+                              lambda start, stop: self._buffer[:stop - start],
+                              self._work)
+
+
 def weighted_inverse_grid(c, radii):
     """Weighted inverse rows for every radius in `radii`, as an (M, N) array.
 
@@ -333,21 +431,14 @@ def weighted_inverse_grid(c, radii):
     first. The leaf applies per row and the stages apply elementwise, so a
     row's arithmetic does not depend on the block it shares: each row is
     identical to a single-radius call. At r = 0 only the l = 0 term
-    survives, and the row is the constant c_0 / N.
+    survives, and the row is the constant c_0 / N. This is the block loop
+    of :class:`BlockStream`, writing each block into the result.
     """
     c, n = _checked_length(c)
-    radii = tuple(_checked_radius(r) for r in radii)
-    if not radii:
-        raise ValueError("need at least one radius")
+    m, tables = _grid_tables(radii, n)
     c = np.asarray(c, dtype=np.complex128)
-    out = np.empty((len(radii), n), dtype=np.complex128)
-    for s, r in enumerate(radii):
-        if r == 0.0:
-            out[s] = c[0] / n
-    for block in _radius_tables(radii, n):
-        y = block.weights * c[block.gather]
-        if block.gather.shape[0] < n:
-            parts = y.view(np.float64)
-            parts[np.abs(parts) < _TINY] = 0.0
-        _transform(y, out[block.start:block.stop], block.leaf, block.stages)
+    out = np.empty((m, n), dtype=np.complex128)
+    for _ in _weighted_rows(c, m, tables, lambda start, stop: out[start:stop],
+                            _work_buffer(tables, n)):
+        pass
     return out

@@ -339,6 +339,16 @@ def test_overflowing_signal_reports_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_subnormal_energy_signal_reports_error(tmp_path, capsys):
+    sig = tmp_path / "tiny.csv"
+    signals.save_signal_csv(sig, 1e-160 * signals.synth_f1(64))
+    out = tmp_path / "d.json"
+    code = cli.run_command(["decompose", "--input", str(sig), "--output", str(out)])
+    assert code == 1
+    assert "subnormal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_signal_writes_empty_document(tmp_path):
     sig = tmp_path / "zero.csv"
     signals.save_signal_csv(sig, np.zeros(64))

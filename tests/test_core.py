@@ -7,6 +7,8 @@ which for real a = r collapses to (1 + r^N)/(1 - r^N). Tests that rely on
 exact unit norms therefore use a = 0, where the kernel is the constant 1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,116 @@ def test_maximal_selection_rejects_bad_shape():
         core.maximal_selection(np.zeros((2, 8)), _grid(8))
 
 
+def _full_pick(c, grid):
+    return core.maximal_selection(core.inner_product_field(c, grid), grid)
+
+
+def _assert_same_pick(a, b):
+    assert a[0] == b[0]
+    # Bit-equal coefficients: compare the parts' bits, not their values.
+    assert np.array_equal(np.array([a[1]]).view(np.uint64),
+                          np.array([b[1]]).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["f1", "f2", "random"])
+def test_streamed_selection_matches_full_field_every_step(kind):
+    # At this size the standard grid streams as the r = 0 row and the
+    # blocks (1, 3), (3, 6) and (6, 9), so picks cross block boundaries.
+    n = 16384
+    grid = core.ParameterGrid.experiment_default(n)
+    g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
+         "random": lambda n: _random_hardy(n, seed=3)}[kind](n)
+    stream = transform.BlockStream(grid.radii, n)
+    layout = [(start, rows.shape[0])
+              for start, rows in stream.blocks(core.spectral_coefficients(g))]
+    assert layout == [(0, 1), (1, 2), (3, 3), (6, 3)]
+    d = core.decompose(g, grid, max_terms=10)
+    assert len(d) == 10
+    remainder = g
+    for step in d.steps:
+        c = core.spectral_coefficients(remainder)
+        streamed = core.maximal_selection(stream.blocks(c), grid)
+        _assert_same_pick(streamed, _full_pick(c, grid))
+        _assert_same_pick(streamed, (step.point, step.coefficient))
+        remainder = core.remainder_update(remainder, step.point, step.coefficient)
+
+
+def test_streamed_selection_keeps_the_exact_tie_of_f2():
+    # synth_f2 is odd, G(-z) = -G(z), so after the dc step and one more,
+    # |f| at (0.8, 0) and (0.8, N/2) tie bit for bit; the row-major
+    # tie-break takes angle 0, the pole sequence the README tables list.
+    n = 1024
+    grid = core.ParameterGrid.experiment_default(n)
+    g = signals.synth_f2(n)
+    d = core.decompose(g, grid, max_terms=3, dc_first=True)
+    remainder = g
+    for step in d.steps[:2]:
+        remainder = core.remainder_update(remainder, step.point, step.coefficient)
+    c = core.spectral_coefficients(remainder)
+    magnitude = np.abs(core.inner_product_field(c, grid)) ** 2
+    assert magnitude[8, 0] == magnitude[8, n // 2] == magnitude.max()
+    streamed = core.maximal_selection(transform.BlockStream(grid.radii, n).blocks(c),
+                                      grid)
+    _assert_same_pick(streamed, _full_pick(c, grid))
+    assert (streamed[0].radius, streamed[0].angle_index) == (0.8, 0)
+    assert d.steps[2].point == streamed[0]
+
+
+def test_streamed_selection_ties_break_row_major_across_blocks():
+    grid = _grid(8, radii=(0.0, 0.2, 0.4))
+    first = np.zeros((1, 8), dtype=np.complex128)
+    second = np.zeros((2, 8), dtype=np.complex128)
+    # Equal maxima in two blocks: the lower row wins.
+    first[0, 5] = 2.0
+    second[1, 2] = 2.0j
+    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.0, 5, 2.0)
+    # A strictly larger value in a later block wins.
+    second[1, 2] = 3.0j
+    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.4, 2, 3.0j)
+    # Equal maxima at two columns of one block: the smaller j wins.
+    second[0, 6] = 3.0
+    second[0, 4] = -3.0
+    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.2, 4, -3.0)
+
+
+@pytest.mark.parametrize("blocks", [
+    [],                                           # no rows
+    [(0, 1, 8), (1, 1, 8)],                       # fewer than M rows
+    [(0, 1, 8), (1, 2, 8), (3, 1, 8)],            # more than M rows
+    [(0, 3, 8), (3, 1, 8)],                       # more than M rows in one go
+    [(0, 1, 8), (2, 1, 8)],                       # a row skipped
+    [(0, 2, 8), (1, 2, 8)],                       # a row repeated
+    [(0, 1, 8), (1, 2, 4)],                       # rows of the wrong length
+    [(0, 0, 8), (0, 3, 8)],                       # an empty block
+])
+def test_maximal_selection_rejects_bad_block_stream(blocks):
+    stream = iter([(start, np.ones((height, width), dtype=np.complex128))
+                   for start, height, width in blocks])
+    with pytest.raises(ValueError):
+        core.maximal_selection(stream, _grid(8))
+
+
+@pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),
+                                   core.radius_range(0.0, 0.025, 0.8)])
+def test_decompose_working_set_is_independent_of_grid_size(radii):
+    # The fft engine reduces the field block by block, so a step holds a
+    # few signal-length buffers and one block, not M x N field entries.
+    n = 65536
+    grid = core.ParameterGrid(radii, n)
+    g = signals.synth_random_hardy(n, degree=256, seed=5)
+    core.decompose(g, grid, max_terms=3)  # fill the plan and weight caches
+    tracemalloc.start()
+    try:
+        core.decompose(g, grid, max_terms=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * np.dtype(np.complex128).itemsize
+
+
 # ---------------------------------------------------------------------------
 # remainder algebra
 
@@ -377,6 +489,21 @@ def test_decompose_rejects_energy_outside_double_range():
     # Samples near 1e-170 square to 0, yet the signal is not zero.
     with pytest.raises(ValueError, match="underflows"):
         core.decompose(1e-170 * g, grid)
+
+
+def test_decompose_rejects_subnormal_energy():
+    g = signals.synth_f1(64)
+    grid = core.ParameterGrid.experiment_default(64)
+    # Samples near 1e-160 square to a subnormal energy, near 1e-321, whose
+    # few significant bits cannot carry the per-step energy bookkeeping.
+    assert 0.0 < core.discrete_energy(1e-160 * g) < np.finfo(float).tiny
+    with pytest.raises(ValueError, match="subnormal"):
+        core.decompose(1e-160 * g, grid)
+    # Near 1e-150 the energy is a normal double and selection is unchanged.
+    small = core.decompose(1e-150 * g, grid)
+    assert [s.point for s in small.steps] == \
+        [s.point for s in core.decompose(g, grid).steps]
+    assert len(core.decompose(np.zeros(64, dtype=np.complex128), grid)) == 0
 
 
 # ---------------------------------------------------------------------------

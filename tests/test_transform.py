@@ -247,6 +247,38 @@ def test_grid_zero_radius_row_between_others():
     assert np.array_equal(rows[2], transform.weighted_inverse(c, 0.5))
 
 
+@pytest.mark.parametrize("n, radii", [
+    (32, (0.3, 0.0, 0.5)),                           # r = 0 between two blocks
+    (1024, tuple(k / 10 for k in range(9))),
+    (16384, tuple(k / 10 for k in range(9))),        # pruned and unpruned blocks
+    (65536, tuple(k / 40 for k in range(33))),       # one row per block
+])
+def test_block_stream_matches_grid_rows(n, radii):
+    # One stream serves field after field: each field's blocks, stacked, are
+    # bit-identical to the (M, N) grid of the same coefficients.
+    stream = transform.BlockStream(radii, n)
+    for seed in (21, 22):
+        c = transform.dft_forward(_random_complex(n, seed=seed))
+        expected = transform.weighted_inverse_grid(c, radii)
+        starts, rows = [], []
+        for start, block in stream.blocks(c):
+            starts.append(start)
+            rows.append(block.copy())
+        assert starts == sorted(set(starts))
+        assert np.array_equal(np.concatenate(rows), expected)
+
+
+def test_block_stream_domain_errors():
+    with pytest.raises(ValueError):
+        transform.BlockStream((0.5,), 48)
+    with pytest.raises(ValueError):
+        transform.BlockStream((), 64)
+    with pytest.raises(ValueError):
+        transform.BlockStream((1.0,), 64)
+    with pytest.raises(ValueError):
+        transform.BlockStream((0.5,), 64).blocks(np.ones(32, dtype=np.complex128))
+
+
 def test_radius_tables_hold_no_subnormal_weights():
     # For r > 0.5 the running product r^l underflows into the subnormal
     # range long before l = N; such weights must be stored as exact zeros.
