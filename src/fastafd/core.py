@@ -19,10 +19,14 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs the
 batched weighted inverse transform (O(M N log N) per step), "direct" the
 plain quadrature sums (O(M N^2), see the oracle module). The fft path
-streams the field to the selection a block of rows at a time, so a step
-never holds the whole M x N field. Both see identical grids and the same
-deterministic tie-break; their poles differ only where field maxima tie
-mathematically and roundoff breaks the tie differently.
+streams the field to the selection a block of rows at a time, outermost
+radius first, so a step never holds the whole M x N field; the selection
+sends the stream its running maximum, and the stream skips every run of
+rows whose triangle bound lies below it, so most inner rows are never
+transformed. Both engines see identical grids and the same deterministic
+tie-break, which does not depend on the order rows arrive in or on which
+are skipped; their poles differ only where field maxima tie mathematically
+and roundoff breaks the tie differently.
 """
 
 from __future__ import annotations
@@ -254,15 +258,20 @@ def maximal_selection(field_values, grid):
     """Grid point with the largest |<G, e_a>|^2 and its field value.
 
     `field_values` is the (M, N) field, or an iterator of (start, rows)
-    blocks that cover its rows in order, as
+    blocks that cover its rows once each in any order, as
     :meth:`transform.BlockStream.blocks` yields them; an array is one
     block. Each block's |f|^2 and first argmax are taken as the block
-    arrives, and a later block wins only with a strictly larger value, so
-    no more than one block is held at a time.
+    arrives, so no more than one block is held at a time. An iterator with
+    a `send` method, such as a block stream, is sent the running maximum
+    of |f|^2 after each block, and may answer with a
+    :class:`transform.SkippedRows` in place of rows that cannot reach it;
+    the pick stands only if every such bound lies strictly below the final
+    maximum.
 
-    Ties break deterministically to the smallest radius index, then the
-    smallest angle index (exact floating-point comparison, no epsilon band),
-    which is row-major argmax order, whichever way the rows are blocked.
+    The larger |f|^2 wins, then the smaller radius index, then the smaller
+    angle index (exact floating-point comparison, no epsilon band). That
+    is the row-major argmax of the whole field, in whatever order rows are
+    evaluated or skipped.
     """
     m, n = len(grid.radii), grid.angular_count
     if isinstance(field_values, Iterator):
@@ -271,24 +280,46 @@ def maximal_selection(field_values, grid):
         f = np.asarray(field_values)
         if f.shape != (m, n):
             raise ValueError("field shape %r does not match grid %r" % (f.shape, (m, n)))
-        blocks = [(0, f)]
-    covered = 0
-    best = None
-    for start, rows in blocks:
-        rows = np.asarray(rows)
-        if start != covered or rows.ndim != 2 or rows.shape[1] != n \
-                or not 0 < rows.shape[0] <= m - start:
-            raise ValueError("block of shape %r at row %d does not continue a "
-                             "field of shape %r after row %d"
-                             % (rows.shape, start, (m, n), covered))
+        blocks = iter([(0, f)])
+    advance = getattr(blocks, "send", None) or (lambda floor: next(blocks))
+    covered = np.zeros(m, dtype=bool)
+    best = None  # (|f|^2, s, j, value)
+    skipped = -np.inf  # largest bound of a skipped run
+    while True:
+        try:
+            item = advance(None if best is None else best[0])
+        except StopIteration:
+            break
+        if isinstance(item, transform.SkippedRows):
+            start, stop, bound = item
+            skipped = max(skipped, bound)
+            rows = None
+        else:
+            start, rows = item
+            rows = np.asarray(rows)
+            if rows.ndim != 2 or rows.shape[1] != n:
+                raise ValueError("block of shape %r does not fit a field of shape %r"
+                                 % (rows.shape, (m, n)))
+            stop = start + rows.shape[0]
+        if not 0 <= start < stop <= m or covered[start:stop].any():
+            raise ValueError("rows %d to %d are empty, outside the field's %d rows "
+                             "or seen before" % (start, stop - 1, m))
+        covered[start:stop] = True
+        if rows is None:
+            continue
         magnitude = rows.real ** 2
         magnitude += rows.imag ** 2
         s, j = np.unravel_index(np.argmax(magnitude), magnitude.shape)
-        if best is None or magnitude[s, j] > best[0]:
-            best = (magnitude[s, j], start + int(s), int(j), complex(rows[s, j]))
-        covered += rows.shape[0]
-    if covered != m:
-        raise ValueError("blocks cover %d of the field's %d rows" % (covered, m))
+        s, j = start + int(s), int(j)
+        value = magnitude[s - start, j]
+        if best is None or (-value, s, j) < (-best[0], best[1], best[2]):
+            best = (value, s, j, complex(rows[s - start, j]))
+    if not covered.all():
+        raise ValueError("blocks cover %d of the field's %d rows"
+                         % (np.count_nonzero(covered), m))
+    if best is None or not skipped < best[0]:
+        raise ValueError("rows were skipped with a bound %g not below the maximum %g"
+                         % (skipped, np.nan if best is None else best[0]))
     _, s, j, value = best
     return grid.point(s, j), value
 

@@ -22,11 +22,24 @@ matrix product (Van Loan, 1992); the remaining radix-2 stages run on
 blocks of at most 2^16 entries (1 MiB, one row at N = 65536), so a block
 stays in cache through all of its stages instead of the whole field
 streaming through memory once per stage. The leaf size and the block
-budget are fixed constants, not options. One loop walks the blocks in row
-order: :func:`weighted_inverse_grid` writes every block into the (M, N)
-result, and :class:`BlockStream` yields each block from one buffer that it
-reuses across fields, so a caller that reduces the rows as they come (the
-selection step) never holds more than one block.
+budget are fixed constants, not options. One loop walks the blocks from
+the last row back to the first, which on a grid's increasing radii is
+outermost first: :func:`weighted_inverse_grid` writes every block into the
+(M, N) result, and :class:`BlockStream` yields each block from one buffer
+that it reuses across fields, so a caller that reduces the rows as they
+come (the selection step) never holds more than one block.
+
+Such a caller may also send the stream a floor, its running maximum of
+|f|^2, and the stream then skips every run of rows that cannot reach it.
+A row's transform input y bounds its output, |f(theta)| <= sum_l |y_l| by
+the triangle inequality, so before transforming a run the stream takes
+B = max over its rows of sum_l |y_l|, an O(Q) pass, and skips the run when
+(B (1 + _MARGIN))^2 lies below the floor; the margin covers the roundoff of
+the butterflies, which can lift a computed |f| slightly above the computed
+B. An r = 0 row's bound is its exact value |c_0 / N|^2. The outer rows
+come first because max_theta |f| grows with r (maximum modulus principle
+for sum_l c_l r^l e^{i l theta}), so they usually hold the maximum and the
+inner rows are skipped.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -64,6 +77,7 @@ __all__ = [
     "weighted_inverse",
     "weighted_inverse_grid",
     "BlockStream",
+    "SkippedRows",
 ]
 
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
@@ -71,6 +85,12 @@ _BLOCK = 1 << 16    # complex entries per block of rows: 1 MiB, inside L2
 _TILE = 2048        # outputs per BLAS product of the leaf: M N K <= 32768
 _TILE_WIDTH = 64    # columns per BLAS product of a pruned leaf
 _TINY = np.finfo(np.float64).tiny
+# Relative slack of a row's triangle bound. On every step of 10-term
+# decompositions at N = 64 ... 65536, a computed max |f| exceeded its
+# computed bound by at most 3.9e-16 relative; radix-2 roundoff is bounded
+# by a small multiple of log2(N) eps, about 4e-15 at N = 2^16, so this
+# margin leaves about six orders of magnitude to spare.
+_MARGIN = 1e-9
 
 
 class _Plan(NamedTuple):
@@ -97,6 +117,18 @@ class _Block(NamedTuple):
     gather: np.ndarray
     leaf: np.ndarray
     stages: tuple
+
+
+class SkippedRows(NamedTuple):
+    """Rows [start, stop) of a block stream left untransformed.
+
+    `bound` is at least every |f|^2 on those rows; the stream skipped them
+    because it lay below the floor its caller sent.
+    """
+
+    start: int
+    stop: int
+    bound: float
 
 
 def _checked_size(n):
@@ -343,17 +375,18 @@ def _grid_tables(radii, n):
 
 
 def _row_runs(tables, m):
-    """(start, stop, block) for every run of the M rows, in row order.
+    """(start, stop, block) for every run of the M rows, last run first.
 
     The runs are the blocks of `tables` and, between them, each r = 0 row on
-    its own with block None.
+    its own with block None. They come from row M - 1 back to row 0, which
+    on a grid's increasing radii is outermost first.
     """
-    row = 0
-    for block in tables:
-        yield from ((s, s + 1, None) for s in range(row, block.start))
+    row = m
+    for block in reversed(tables):
+        yield from ((s, s + 1, None) for s in range(row - 1, block.stop - 1, -1))
         yield block.start, block.stop, block
-        row = block.stop
-    yield from ((s, s + 1, None) for s in range(row, m))
+        row = block.start
+    yield from ((s, s + 1, None) for s in range(row - 1, -1, -1))
 
 
 def _work_buffer(tables, n):
@@ -366,23 +399,36 @@ def _work_buffer(tables, n):
 def _weighted_rows(c, m, tables, target, work):
     """The one loop of the weighted inverse transform.
 
-    Yields (start, rows) for each run of :func:`_row_runs` in row order;
+    A generator over the runs of :func:`_row_runs`, last run first;
     `target(start, stop)` returns the C-contiguous (stop - start, N) array
     the run's rows are written into, and `work` is a :func:`_work_buffer`.
+    Each run yields (start, rows), except that once the caller has sent a
+    floor, a run whose squared bound lies below it yields
+    :class:`SkippedRows` instead and is not transformed.
     """
     n = c.shape[0]
+    floor = None
     for start, stop, block in _row_runs(tables, m):
-        rows = target(start, stop)
         if block is None:
-            rows[...] = c[0] / n
+            value = c[0] / n
+            bound = value.real ** 2 + value.imag ** 2  # the row's exact |f|^2
         else:
             y = work[:block.weights.size].reshape(block.weights.shape)
             np.multiply(block.weights, c[block.gather], out=y)
             if block.gather.shape[0] < n:
                 parts = y.view(np.float64)
                 parts[np.abs(parts) < _TINY] = 0.0
+            if floor is not None:
+                bound = (np.abs(y).sum(axis=1).max() * (1.0 + _MARGIN)) ** 2
+        if floor is not None and bound < floor:
+            floor = yield SkippedRows(start, stop, float(bound))
+            continue
+        rows = target(start, stop)
+        if block is None:
+            rows[...] = value
+        else:
             _transform(y, rows, block.leaf, block.stages, work)
-        yield start, rows
+        floor = yield start, rows
 
 
 class BlockStream:
@@ -390,8 +436,12 @@ class BlockStream:
 
     `BlockStream(radii, n).blocks(c)` yields (start, rows): rows is a (B, N)
     array holding rows start, ..., start + B - 1 of
-    :func:`weighted_inverse_grid` for the same c and radii, bit for bit, and
-    the blocks cover the M rows in order. Every block of every call is
+    :func:`weighted_inverse_grid` for the same c and radii, bit for bit.
+    The blocks cover the M rows once each, from the last run of rows back
+    to the first (outermost first on increasing radii). A caller iterating
+    with `send(floor)` instead of `next` gets a :class:`SkippedRows` in place
+    of every later block whose rows' |f|^2 provably lies below `floor`; see
+    the module docstring for the bound. Every block of every call is
     written into one buffer the size of the tallest block, at most _BLOCK
     entries (one row when N >= 2^16), and every transform input and stage
     scratch into one more buffer no larger than that. So a caller that
@@ -410,7 +460,7 @@ class BlockStream:
         self._work = _work_buffer(self._tables, n)
 
     def blocks(self, c):
-        """Iterator of the (start, rows) blocks for the coefficients c."""
+        """Generator of the blocks for the coefficients c (see the class)."""
         c, n = _checked_length(c)
         if n != self._buffer.shape[1]:
             raise ValueError("coefficient length %d does not match the stream's %d"
@@ -432,7 +482,8 @@ def weighted_inverse_grid(c, radii):
     row's arithmetic does not depend on the block it shares: each row is
     identical to a single-radius call. At r = 0 only the l = 0 term
     survives, and the row is the constant c_0 / N. This is the block loop
-    of :class:`BlockStream`, writing each block into the result.
+    of :class:`BlockStream`, writing each block into the result; it sends
+    no floor, so no row is skipped.
     """
     c, n = _checked_length(c)
     m, tables = _grid_tables(radii, n)

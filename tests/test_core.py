@@ -220,8 +220,9 @@ def _assert_same_pick(a, b):
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "random"])
 def test_streamed_selection_matches_full_field_every_step(kind):
-    # At this size the standard grid streams as the r = 0 row and the
-    # blocks (1, 3), (3, 6) and (6, 9), so picks cross block boundaries.
+    # At this size the standard grid streams as the blocks (6, 9), (3, 6)
+    # and (1, 3), outermost first, then the r = 0 row, so picks cross block
+    # boundaries and most steps skip some of them.
     n = 16384
     grid = core.ParameterGrid.experiment_default(n)
     g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
@@ -229,7 +230,7 @@ def test_streamed_selection_matches_full_field_every_step(kind):
     stream = transform.BlockStream(grid.radii, n)
     layout = [(start, rows.shape[0])
               for start, rows in stream.blocks(core.spectral_coefficients(g))]
-    assert layout == [(0, 1), (1, 2), (3, 3), (6, 3)]
+    assert layout == [(6, 3), (3, 3), (1, 2), (0, 1)]
     d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
     remainder = g
@@ -282,6 +283,35 @@ def test_streamed_selection_ties_break_row_major_across_blocks():
     assert (point.radius, point.angle_index, coeff) == (0.2, 4, -3.0)
 
 
+def test_streamed_selection_ties_break_row_major_in_any_order():
+    grid = _grid(8, radii=(0.0, 0.2, 0.4))
+    inner = np.zeros((1, 8), dtype=np.complex128)
+    outer = np.zeros((2, 8), dtype=np.complex128)
+    # Equal maxima, the outer rows first: the lower row still wins.
+    inner[0, 5] = 2.0
+    outer[1, 2] = 2.0j
+    point, coeff = core.maximal_selection(iter([(1, outer), (0, inner)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.0, 5, 2.0)
+    # One-row blocks in reverse order, equal maxima on rows 2 and 1 and at
+    # two angles of row 1: row 1 at the smaller angle wins.
+    inner[0, 5] = 0.0
+    middle = np.zeros((1, 8), dtype=np.complex128)
+    middle[0, 6] = 2.0j
+    middle[0, 4] = -2.0
+    point, coeff = core.maximal_selection(
+        iter([(2, outer[1:]), (1, middle), (0, inner)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.2, 4, -2.0)
+
+
+def test_maximal_selection_accepts_rows_skipped_below_the_maximum():
+    grid = _grid(8, radii=(0.0, 0.2, 0.4))
+    outer = np.zeros((2, 8), dtype=np.complex128)
+    outer[1, 2] = 2.0  # |f|^2 = 4
+    point, coeff = core.maximal_selection(
+        iter([(1, outer), transform.SkippedRows(0, 1, 3.9)]), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.4, 2, 2.0)
+
+
 @pytest.mark.parametrize("blocks", [
     [],                                           # no rows
     [(0, 1, 8), (1, 1, 8)],                       # fewer than M rows
@@ -291,12 +321,94 @@ def test_streamed_selection_ties_break_row_major_across_blocks():
     [(0, 2, 8), (1, 2, 8)],                       # a row repeated
     [(0, 1, 8), (1, 2, 4)],                       # rows of the wrong length
     [(0, 0, 8), (0, 3, 8)],                       # an empty block
+    [(1, 2, 8), transform.SkippedRows(0, 1, 1.0)],  # a row skipped, bound not below
+    [transform.SkippedRows(0, 3, 0.0)],           # every row skipped
 ])
 def test_maximal_selection_rejects_bad_block_stream(blocks):
-    stream = iter([(start, np.ones((height, width), dtype=np.complex128))
-                   for start, height, width in blocks])
+    # Blocks of ones, so |f|^2 = 1 on every row that is evaluated.
+    stream = iter([b if isinstance(b, transform.SkippedRows)
+                   else (b[0], np.ones(b[1:], dtype=np.complex128)) for b in blocks])
     with pytest.raises(ValueError):
         core.maximal_selection(stream, _grid(8))
+
+
+class _AnyOrderGrid:
+    """The polar grid without ParameterGrid's rule that radii increase."""
+
+    point = core.ParameterGrid.point
+
+    def __init__(self, radii, n):
+        self.radii, self.angular_count = radii, n
+
+
+def _real_coefficient(g):
+    # The signal whose Taylor coefficients are the real parts of g's: its
+    # field is symmetric under j <-> N - j, so its maxima tie in pairs.
+    return (g + np.conj(g[(-np.arange(g.shape[0])) % g.shape[0]])) / 2
+
+
+def _exactness_grid(kind, n):
+    if kind == "standard":
+        return core.ParameterGrid.experiment_default(n)
+    if kind == "zero between":
+        return _AnyOrderGrid((0.3, 0.0, 0.5, 0.8), n)
+    if kind == "33 radii":
+        return core.ParameterGrid(core.radius_range(0.0, 0.025, 0.8), n)
+    with pytest.warns(UserWarning, match="exceeds"):
+        return core.ParameterGrid(core.radius_range(0.0, 0.05, 0.95), n)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
+@pytest.mark.parametrize("grid_kind", ["standard", "zero between", "33 radii",
+                                       "near the circle"])
+@settings(max_examples=2, deadline=None)
+@given(kind=st.sampled_from(["random", "real coefficient", "f1", "f2"]),
+       seed=st.integers(0, 2 ** 32 - 1), dc_first=st.booleans())
+def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
+    # The stream skips the runs whose bound lies below the running maximum;
+    # at every step its pick must be the full field's, bit for bit.
+    grid = _exactness_grid(grid_kind, n)
+    if kind in ("f1", "f2"):
+        g = {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
+    else:
+        g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=seed)
+        if kind == "real coefficient":
+            g = _real_coefficient(g)
+    d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
+    stream = transform.BlockStream(grid.radii, n)
+    remainder = g
+    for k, step in enumerate(d.steps):
+        c = core.spectral_coefficients(remainder)
+        streamed = core.maximal_selection(stream.blocks(c), grid)
+        _assert_same_pick(streamed, _full_pick(c, grid))
+        if k > 0 or not dc_first:
+            _assert_same_pick(streamed, (step.point, step.coefficient))
+        remainder = core.remainder_update(remainder, step.point, step.coefficient)
+
+
+def test_decompose_skips_most_rows_at_the_top_size(monkeypatch):
+    # Outermost first, the r = 0.8 row usually holds the maximum and the
+    # bounds rule out most inner rows. A 10-term dc-first decompose of f2 at
+    # N = 65536 has 9 fields of 8 nonzero radii; at most half of these 72
+    # rows may be transformed, so a change that disables the skip fails.
+    n = 65536
+    grid = core.ParameterGrid.experiment_default(n)
+    forward_leaf = transform._plan(n).forward[0]
+    transform_rows = transform._transform
+    rows = []
+
+    def counting(x, out, leaf, stages, scratch=None):
+        if leaf is not forward_leaf:  # not a dft_forward call
+            rows.append(out.shape[0])
+        return transform_rows(x, out, leaf, stages, scratch)
+
+    g = signals.synth_f2(n)
+    monkeypatch.setattr(transform, "_transform", counting)
+    core.inner_product_field(core.spectral_coefficients(g), grid)
+    assert sum(rows) == 8  # the full field transforms every nonzero radius
+    rows.clear()
+    core.decompose(g, grid, max_terms=10, dc_first=True)
+    assert 0 < sum(rows) <= 36
 
 
 @pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),

@@ -254,8 +254,9 @@ def test_grid_zero_radius_row_between_others():
     (65536, tuple(k / 40 for k in range(33))),       # one row per block
 ])
 def test_block_stream_matches_grid_rows(n, radii):
-    # One stream serves field after field: each field's blocks, stacked, are
-    # bit-identical to the (M, N) grid of the same coefficients.
+    # One stream serves field after field: each field's blocks come last
+    # run first, and stacked back in row order they are bit-identical to
+    # the (M, N) grid of the same coefficients.
     stream = transform.BlockStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
@@ -264,8 +265,30 @@ def test_block_stream_matches_grid_rows(n, radii):
         for start, block in stream.blocks(c):
             starts.append(start)
             rows.append(block.copy())
-        assert starts == sorted(set(starts))
-        assert np.array_equal(np.concatenate(rows), expected)
+        assert starts == sorted(set(starts), reverse=True)
+        assert np.array_equal(np.concatenate(rows[::-1]), expected)
+
+
+def test_block_stream_skips_runs_whose_bound_is_below_the_floor():
+    # Sent an infinite floor, the stream transforms its first run and then
+    # skips every other, each with a bound on its rows' |f|^2; the r = 0
+    # row's bound is its exact value. Sent no floor, it skips nothing.
+    n = 16384
+    radii = tuple(k / 10 for k in range(9))
+    c = transform.dft_forward(_random_complex(n, seed=23))
+    top = (np.abs(transform.weighted_inverse_grid(c, radii)) ** 2).max(axis=1)
+    stream = transform.BlockStream(radii, n)
+    blocks = stream.blocks(c)
+    start, rows = next(blocks)
+    assert (start, rows.shape[0]) == (6, 3)
+    skipped = [blocks.send(np.inf) for _ in range(3)]
+    with pytest.raises(StopIteration):
+        blocks.send(np.inf)
+    assert [(s.start, s.stop) for s in skipped] == [(3, 6), (1, 3), (0, 1)]
+    for s in skipped:
+        assert s.bound >= top[s.start:s.stop].max()
+    assert skipped[-1].bound == top[0]
+    assert all(not isinstance(b, transform.SkippedRows) for b in stream.blocks(c))
 
 
 def test_block_stream_domain_errors():
