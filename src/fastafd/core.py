@@ -19,14 +19,14 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs the
 batched weighted inverse transform (O(M N log N) per step), "direct" the
 plain quadrature sums (O(M N^2), see the oracle module). The fft path
-streams the field to the selection a block of rows at a time, outermost
-radius first, so a step never holds the whole M x N field; the selection
-sends the stream its running maximum, and the stream skips every run of
-rows whose triangle bound lies below it, so most inner rows are never
-transformed. Both engines see identical grids and the same deterministic
-tie-break, which does not depend on the order rows arrive in or on which
-are skipped; their poles differ only where field maxima tie mathematically
-and roundoff breaks the tie differently.
+streams the field to the selection one radius row at a time, outermost
+first, so a step never holds the whole M x N field; the selection sends
+the stream its running maximum, and the stream skips every row whose
+triangle bound lies below it, so most inner rows are never transformed.
+Both engines see identical grids and the same deterministic tie-break,
+which does not depend on the order rows arrive in or on which are
+skipped; their poles differ only where field maxima tie mathematically and
+roundoff breaks the tie differently.
 """
 
 from __future__ import annotations

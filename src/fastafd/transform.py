@@ -18,22 +18,21 @@ is written without a transform.
 The kernel is cache-aware (Bailey, "FFTs in external or hierarchical
 memory", 1990). The first four radix-2 stages, whose runs are 1 to 8
 entries long, are replaced by one dense 16-point DFT leaf applied as a
-matrix product (Van Loan, 1992); the remaining radix-2 stages run on
-blocks of at most 2^16 entries (1 MiB, one row at N = 65536), so a block
-stays in cache through all of its stages instead of the whole field
-streaming through memory once per stage. The leaf size and the block
-budget are fixed constants, not options. One loop walks the blocks from
-the last row back to the first, which on a grid's increasing radii is
-outermost first: :func:`weighted_inverse_grid` writes every block into the
-(M, N) result, and :class:`BlockStream` yields each block from one buffer
-that it reuses across fields, so a caller that reduces the rows as they
-come (the selection step) never holds more than one block.
+matrix product (Van Loan, 1992); the remaining radix-2 stages run on one
+radius row at a time (1 MiB at N = 2^16), so a row stays in cache through
+all of its stages instead of the whole field streaming through memory once
+per stage. The leaf size is a fixed constant, not an option. One loop,
+:class:`BlockStream`, walks the rows from the last back to the first,
+which on a grid's increasing radii is outermost first, and yields each
+row from one buffer that it reuses across fields, so a caller that reduces
+the rows as they come (the selection step) never holds more than one row;
+:func:`weighted_inverse_grid` copies every row into the (M, N) result.
 
 Such a caller may also send the stream a floor, its running maximum of
-|f|^2, and the stream then skips every run of rows that cannot reach it.
-A row's transform input y bounds its output, |f(theta)| <= sum_l |y_l| by
-the triangle inequality, so before transforming a run the stream takes
-B = max over its rows of sum_l |y_l|, an O(Q) pass, and skips the run when
+|f|^2, and the stream then skips every row that cannot reach it. A row's
+transform input y bounds its output, |f(theta)| <= sum_l |y_l| by the
+triangle inequality, so before transforming a row the stream takes
+B = sum_l |y_l|, an O(Q) pass, and skips the row when
 (B (1 + _MARGIN))^2 lies below the floor; the margin covers the roundoff of
 the butterflies, which can lift a computed |f| slightly above the computed
 B. An r = 0 row's bound is its exact value |c_0 / N|^2. The outer rows
@@ -81,7 +80,6 @@ __all__ = [
 ]
 
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
-_BLOCK = 1 << 16    # complex entries per block of rows: 1 MiB, inside L2
 _TILE = 2048        # outputs per BLAS product of the leaf: M N K <= 32768
 _TILE_WIDTH = 64    # columns per BLAS product of a pruned leaf
 _TINY = np.finfo(np.float64).tiny
@@ -101,18 +99,16 @@ class _Plan(NamedTuple):
     inverse: tuple
 
 
-class _Block(NamedTuple):
-    """Consecutive nonzero-radius grid rows [start, stop) with one prefix length Q.
+class _Row(NamedTuple):
+    """One nonzero-radius grid row with prefix length Q.
 
-    `weights` holds each row's scaled r^l for l < Q, bit-reversed within Q,
+    `weights` holds the row's scaled r^l for l < Q, bit-reversed within Q,
     and `gather` is that bit reversal, so the row's transform input is
     weights * c[gather]. `leaf` is the inverse leaf, pre-twiddled for the
     stride P = N / Q when the row is pruned, and `stages` the size-N
     stages that follow it.
     """
 
-    start: int
-    stop: int
     weights: np.ndarray
     gather: np.ndarray
     leaf: np.ndarray
@@ -197,7 +193,7 @@ def _pruned_leaf(p):
     return leaf
 
 
-def _transform(x, out, leaf, stages, scratch=None):
+def _transform(x, out, leaf, stages, scratch):
     """Transform the bit-reversed rows of `x` into `out` (B, N).
 
     `x` is (B, N) for a full transform, or (B, Q) holding the nonzero
@@ -211,7 +207,7 @@ def _transform(x, out, leaf, stages, scratch=None):
     reshapes of non-C-ordered arrays, which would silently discard every
     update. `scratch` is a flat buffer for the stages, which use its first
     out.size / 2 entries; it may share memory with `x`, which the leaf has
-    consumed, and by default is `x` itself, or a new buffer if `x` is smaller.
+    consumed.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
         raise ValueError("transform buffers must be C-contiguous")
@@ -222,10 +218,6 @@ def _transform(x, out, leaf, stages, scratch=None):
     m = min(x.shape[1] // k, _TILE // w)
     np.matmul(x.reshape(-1, 1, m, k), leaf.reshape(k, -1, w).transpose(1, 0, 2),
               out=out.reshape(-1, m, width // w, w).transpose(0, 2, 1, 3))
-    if scratch is None:
-        scratch = x.reshape(-1)
-    if scratch.size < out.size // 2:
-        scratch = np.empty(out.size // 2, dtype=out.dtype)
     scratch = scratch[: out.size // 2]
     for tw in stages:
         half = tw.shape[0]
@@ -253,7 +245,7 @@ def _dft(x, inverse):
     plan = _plan(n)
     y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
     out = np.empty(n, dtype=np.complex128)
-    _transform(y[None], out[None], *(plan.inverse if inverse else plan.forward))
+    _transform(y[None], out[None], *(plan.inverse if inverse else plan.forward), y)
     if inverse:
         out /= n
     return out
@@ -284,7 +276,7 @@ def dft_inverse(c):
 
 @lru_cache(maxsize=32)
 def _radius_tables(radii, n):
-    """Per-grid tables: one :class:`_Block` per run of rows with equal Q.
+    """Per-grid tables: one :class:`_Row` per radius, None at r = 0.
 
     radii is a tuple of floats (hashable for the cache). A row's weights are
     the running products 1, r, r^2, ... times its output scale. Weights
@@ -292,17 +284,15 @@ def _radius_tables(radii, n):
     double precision, and subnormal operands would send every butterfly
     over them down the slow subnormal path. Q is the smallest power of two
     that is at least the leaf size and covers the last nonzero weight; a row
-    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Blocks
-    are runs of consecutive nonzero radii with equal Q, each at most _BLOCK
-    entries of output, so all stages of a block run in cache. Only the
-    weight prefixes are kept.
+    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Only
+    the weight prefixes are kept.
     """
     plan = _plan(n)
-    budget = max(1, _BLOCK // n)
     gathers = {n: plan.rev}
-    runs = []
-    for s, r in enumerate(radii):
+    rows = []
+    for r in radii:
         if r == 0.0:
+            rows.append(None)
             continue
         powers = np.full(n, r)
         powers[0] = 1.0
@@ -319,25 +309,17 @@ def _radius_tables(radii, n):
             q = n
         if q not in gathers:
             gathers[q] = _bit_reversal_indices(q)
+            _read_only(gathers[q])
         # Keep only the bit-reversed prefix; the full row is freed here.
-        prefix = powers[gathers[q]]
-        run = runs[-1] if runs else None
-        if run and run[1] == s and run[2] == q and s - run[0] < budget:
-            run[1] = s + 1
-            run[3].append(prefix)
-        else:
-            runs.append([s, s + 1, q, [prefix]])
-    blocks = []
-    for start, stop, q, prefixes in runs:
+        weights = powers[gathers[q]]
+        _read_only(weights)
         p = n // q
-        weights = np.stack(prefixes)
-        _read_only(weights, gathers[q])
         if p == 1:
             leaf, stages = plan.inverse
         else:
             leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
-        blocks.append(_Block(start, stop, weights, gathers[q], leaf, stages))
-    return tuple(blocks)
+        rows.append(_Row(weights, gathers[q], leaf, stages))
+    return tuple(rows)
 
 
 def _checked_radius(r):
@@ -366,130 +348,87 @@ def weighted_inverse(c, r):
     return weighted_inverse_grid(c, (r,))[0]
 
 
-def _grid_tables(radii, n):
-    """(M, tables) for validated `radii` at size n."""
-    radii = tuple(_checked_radius(r) for r in radii)
-    if not radii:
-        raise ValueError("need at least one radius")
-    return len(radii), _radius_tables(radii, n)
-
-
-def _row_runs(tables, m):
-    """(start, stop, block) for every run of the M rows, last run first.
-
-    The runs are the blocks of `tables` and, between them, each r = 0 row on
-    its own with block None. They come from row M - 1 back to row 0, which
-    on a grid's increasing radii is outermost first.
-    """
-    row = m
-    for block in reversed(tables):
-        yield from ((s, s + 1, None) for s in range(row - 1, block.stop - 1, -1))
-        yield block.start, block.stop, block
-        row = block.start
-    yield from ((s, s + 1, None) for s in range(row - 1, -1, -1))
-
-
-def _work_buffer(tables, n):
-    """One buffer that holds any block's transform input and stage scratch."""
-    size = max([max(b.weights.size, (b.stop - b.start) * n // 2) for b in tables],
-               default=0)
-    return np.empty(size, dtype=np.complex128)
-
-
-def _weighted_rows(c, m, tables, target, work):
-    """The one loop of the weighted inverse transform.
-
-    A generator over the runs of :func:`_row_runs`, last run first;
-    `target(start, stop)` returns the C-contiguous (stop - start, N) array
-    the run's rows are written into, and `work` is a :func:`_work_buffer`.
-    Each run yields (start, rows), except that once the caller has sent a
-    floor, a run whose squared bound lies below it yields
-    :class:`SkippedRows` instead and is not transformed.
-    """
-    n = c.shape[0]
-    floor = None
-    for start, stop, block in _row_runs(tables, m):
-        if block is None:
-            value = c[0] / n
-            bound = value.real ** 2 + value.imag ** 2  # the row's exact |f|^2
-        else:
-            y = work[:block.weights.size].reshape(block.weights.shape)
-            np.multiply(block.weights, c[block.gather], out=y)
-            if block.gather.shape[0] < n:
-                parts = y.view(np.float64)
-                parts[np.abs(parts) < _TINY] = 0.0
-            if floor is not None:
-                bound = (np.abs(y).sum(axis=1).max() * (1.0 + _MARGIN)) ** 2
-        if floor is not None and bound < floor:
-            floor = yield SkippedRows(start, stop, float(bound))
-            continue
-        rows = target(start, stop)
-        if block is None:
-            rows[...] = value
-        else:
-            _transform(y, rows, block.leaf, block.stages, work)
-        floor = yield start, rows
-
-
 class BlockStream:
-    """Weighted inverse rows of one grid, a block at a time, in one buffer.
+    """Weighted inverse rows of one grid, a row at a time, in one buffer.
 
-    `BlockStream(radii, n).blocks(c)` yields (start, rows): rows is a (B, N)
-    array holding rows start, ..., start + B - 1 of
-    :func:`weighted_inverse_grid` for the same c and radii, bit for bit.
-    The blocks cover the M rows once each, from the last run of rows back
+    `BlockStream(radii, n).blocks(c)` yields (start, rows): rows is a (1, N)
+    array holding row `start` of :func:`weighted_inverse_grid` for the same
+    c and radii, bit for bit. The rows come once each, from the last back
     to the first (outermost first on increasing radii). A caller iterating
     with `send(floor)` instead of `next` gets a :class:`SkippedRows` in place
-    of every later block whose rows' |f|^2 provably lies below `floor`; see
-    the module docstring for the bound. Every block of every call is
-    written into one buffer the size of the tallest block, at most _BLOCK
-    entries (one row when N >= 2^16), and every transform input and stage
-    scratch into one more buffer no larger than that. So a caller that
-    reduces each block as it comes, such as the selection step, runs field
-    after field over the grid without holding the (M, N) field or
-    allocating either buffer again, but a block's rows are valid only
-    until the next block is requested, from this call or another on the
-    same stream.
+    of every later row whose |f|^2 provably lies below `floor`; see the
+    module docstring for the bound. Every row of every call is written into
+    one (1, N) buffer, and every transform input and stage scratch into one
+    more buffer of at most N entries. So a caller that reduces each row as
+    it comes, such as the selection step, runs field after field over the
+    grid without holding the (M, N) field or allocating either buffer
+    again, but a row is valid only until the next one is requested, from
+    this call or another on the same stream.
     """
 
     def __init__(self, radii, n):
         n = _checked_size(int(n))
-        self._m, self._tables = _grid_tables(radii, n)
-        height = max([b.stop - b.start for b in self._tables], default=1)
-        self._buffer = np.empty((height, n), dtype=np.complex128)
-        self._work = _work_buffer(self._tables, n)
+        radii = tuple(_checked_radius(r) for r in radii)
+        if not radii:
+            raise ValueError("need at least one radius")
+        self._tables = _radius_tables(radii, n)
+        self._buffer = np.empty((1, n), dtype=np.complex128)
+        size = max([n // 2] + [row.weights.size for row in self._tables if row is not None])
+        self._work = np.empty(size, dtype=np.complex128)
 
     def blocks(self, c):
-        """Generator of the blocks for the coefficients c (see the class)."""
+        """Generator of the rows for the coefficients c (see the class)."""
         c, n = _checked_length(c)
         if n != self._buffer.shape[1]:
             raise ValueError("coefficient length %d does not match the stream's %d"
                              % (n, self._buffer.shape[1]))
-        c = np.asarray(c, dtype=np.complex128)
-        return _weighted_rows(c, self._m, self._tables,
-                              lambda start, stop: self._buffer[:stop - start],
-                              self._work)
+        return self._weighted_rows(np.asarray(c, dtype=np.complex128))
+
+    def _weighted_rows(self, c):
+        """The one loop of the weighted inverse transform, last row first.
+
+        Each row yields (s, buffer), except that once the caller has sent a
+        floor, a row whose squared bound lies below it yields
+        :class:`SkippedRows` instead and is not transformed.
+        """
+        n = c.shape[0]
+        floor = None
+        for s in range(len(self._tables) - 1, -1, -1):
+            row = self._tables[s]
+            if row is None:
+                value = c[0] / n
+                bound = value.real ** 2 + value.imag ** 2  # the row's exact |f|^2
+            else:
+                y = self._work[:row.weights.size]
+                np.multiply(row.weights, c[row.gather], out=y)
+                if row.gather.shape[0] < n:
+                    parts = y.view(np.float64)
+                    parts[np.abs(parts) < _TINY] = 0.0
+                if floor is not None:
+                    bound = (np.abs(y).sum() * (1.0 + _MARGIN)) ** 2
+            if floor is not None and bound < floor:
+                floor = yield SkippedRows(s, s + 1, float(bound))
+                continue
+            if row is None:
+                self._buffer[...] = value
+            else:
+                _transform(y[None], self._buffer, row.leaf, row.stages, self._work)
+            floor = yield s, self._buffer
 
 
 def weighted_inverse_grid(c, radii):
     """Weighted inverse rows for every radius in `radii`, as an (M, N) array.
 
-    Rows run in blocks of at most _BLOCK entries (one row at N = 65536), so
-    every stage of a block works in cache. Each block transforms only its
-    rows' nonzero weight prefix of length Q (see :func:`_radius_tables`);
-    a pruned row's weighted prefix has its subnormal parts set to zero
-    first. The leaf applies per row and the stages apply elementwise, so a
-    row's arithmetic does not depend on the block it shares: each row is
-    identical to a single-radius call. At r = 0 only the l = 0 term
-    survives, and the row is the constant c_0 / N. This is the block loop
-    of :class:`BlockStream`, writing each block into the result; it sends
-    no floor, so no row is skipped.
+    Each row transforms only its nonzero weight prefix of length Q (see
+    :func:`_radius_tables`); a pruned row's weighted prefix has its
+    subnormal parts set to zero first. At r = 0 only the l = 0 term
+    survives, and the row is the constant c_0 / N. The rows are those of a
+    :class:`BlockStream` that is sent no floor, so no row is skipped, and
+    each row is identical to a single-radius call.
     """
     c, n = _checked_length(c)
-    m, tables = _grid_tables(radii, n)
-    c = np.asarray(c, dtype=np.complex128)
-    out = np.empty((m, n), dtype=np.complex128)
-    for _ in _weighted_rows(c, m, tables, lambda start, stop: out[start:stop],
-                            _work_buffer(tables, n)):
-        pass
+    stream = BlockStream(radii, n)
+    out = np.empty((len(stream._tables), n), dtype=np.complex128)
+    for s, rows in stream.blocks(c):
+        out[s] = rows[0]
     return out

@@ -220,9 +220,8 @@ def _assert_same_pick(a, b):
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "random"])
 def test_streamed_selection_matches_full_field_every_step(kind):
-    # At this size the standard grid streams as the blocks (6, 9), (3, 6)
-    # and (1, 3), outermost first, then the r = 0 row, so picks cross block
-    # boundaries and most steps skip some of them.
+    # The standard grid streams one row at a time, outermost first, so picks
+    # cross rows and most steps skip some of them.
     n = 16384
     grid = core.ParameterGrid.experiment_default(n)
     g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
@@ -230,7 +229,7 @@ def test_streamed_selection_matches_full_field_every_step(kind):
     stream = transform.BlockStream(grid.radii, n)
     layout = [(start, rows.shape[0])
               for start, rows in stream.blocks(core.spectral_coefficients(g))]
-    assert layout == [(6, 3), (3, 3), (1, 2), (0, 1)]
+    assert layout == [(s, 1) for s in range(8, -1, -1)]
     d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
     remainder = g
@@ -386,18 +385,18 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
 
 
-def test_decompose_skips_most_rows_at_the_top_size(monkeypatch):
+@pytest.mark.parametrize("n", [1024, 4096, 65536])
+def test_decompose_skips_most_rows_at_the_top_size(monkeypatch, n):
     # Outermost first, the r = 0.8 row usually holds the maximum and the
-    # bounds rule out most inner rows. A 10-term dc-first decompose of f2 at
-    # N = 65536 has 9 fields of 8 nonzero radii; at most half of these 72
-    # rows may be transformed, so a change that disables the skip fails.
-    n = 65536
+    # bounds rule out most inner rows. A 10-term dc-first decompose of f2
+    # has 9 fields of 8 nonzero radii; at most half of these 72 rows may be
+    # transformed, so a change that disables the skip fails.
     grid = core.ParameterGrid.experiment_default(n)
     forward_leaf = transform._plan(n).forward[0]
     transform_rows = transform._transform
     rows = []
 
-    def counting(x, out, leaf, stages, scratch=None):
+    def counting(x, out, leaf, stages, scratch):
         if leaf is not forward_leaf:  # not a dft_forward call
             rows.append(out.shape[0])
         return transform_rows(x, out, leaf, stages, scratch)

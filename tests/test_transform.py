@@ -219,19 +219,19 @@ def test_grid_rows_match_single_radius_calls():
     _assert_grid_rows_match_single_radius_calls(64, (0.0, 0.25, 0.5, 0.8))
 
 
-def _block_layout(radii, n):
-    # (start, stop, P) per block; P = N / Q is the row's pruning stride.
-    return [(b.start, b.stop, n // b.gather.shape[0])
-            for b in transform._radius_tables(radii, n)]
+def _row_strides(radii, n):
+    # (row, P) per nonzero-radius row; P = N / Q is the row's pruning stride.
+    return [(s, n // row.gather.shape[0])
+            for s, row in enumerate(transform._radius_tables(radii, n)) if row is not None]
 
 
 def test_grid_rows_match_single_radius_calls_across_blocks():
-    # Up to four rows per block at this size, one prefix length per block:
-    # the r = 0 row is written in closed form, r = 0.1, 0.2 are pruned with
+    # The r = 0 row is written in closed form, r = 0.1, 0.2 are pruned with
     # P = 32, r = 0.3 ... 0.5 with P = 16, and r = 0.6 ... 0.8 (P = 8 and 4,
-    # below the leaf size) run as one unpruned block.
+    # below the leaf size) are not pruned.
     radii = tuple(k / 10 for k in range(9))
-    assert _block_layout(radii, 16384) == [(1, 3, 32), (3, 6, 16), (6, 9, 1)]
+    assert _row_strides(radii, 16384) == [(1, 32), (2, 32), (3, 16), (4, 16), (5, 16),
+                                           (6, 1), (7, 1), (8, 1)]
     _assert_grid_rows_match_single_radius_calls(16384, radii)
 
 
@@ -241,22 +241,22 @@ def test_grid_zero_radius_row_between_others():
     n = 32
     c = transform.dft_forward(_random_complex(n, seed=6))
     rows = transform.weighted_inverse_grid(c, (0.3, 0.0, 0.5))
-    assert _block_layout((0.3, 0.0, 0.5), n) == [(0, 1, 1), (2, 3, 1)]
+    assert _row_strides((0.3, 0.0, 0.5), n) == [(0, 1), (2, 1)]
     assert np.array_equal(rows[1], np.full(n, c[0] / n))
     assert np.array_equal(rows[0], transform.weighted_inverse(c, 0.3))
     assert np.array_equal(rows[2], transform.weighted_inverse(c, 0.5))
 
 
 @pytest.mark.parametrize("n, radii", [
-    (32, (0.3, 0.0, 0.5)),                           # r = 0 between two blocks
+    (32, (0.3, 0.0, 0.5)),                           # r = 0 between two rows
     (1024, tuple(k / 10 for k in range(9))),
-    (16384, tuple(k / 10 for k in range(9))),        # pruned and unpruned blocks
-    (65536, tuple(k / 40 for k in range(33))),       # one row per block
+    (16384, tuple(k / 10 for k in range(9))),        # pruned and unpruned rows
+    (65536, tuple(k / 40 for k in range(33))),
 ])
 def test_block_stream_matches_grid_rows(n, radii):
-    # One stream serves field after field: each field's blocks come last
-    # run first, and stacked back in row order they are bit-identical to
-    # the (M, N) grid of the same coefficients.
+    # One stream serves field after field: each field's rows come last row
+    # first, and stacked back in row order they are bit-identical to the
+    # (M, N) grid of the same coefficients.
     stream = transform.BlockStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
@@ -270,9 +270,9 @@ def test_block_stream_matches_grid_rows(n, radii):
 
 
 def test_block_stream_skips_runs_whose_bound_is_below_the_floor():
-    # Sent an infinite floor, the stream transforms its first run and then
-    # skips every other, each with a bound on its rows' |f|^2; the r = 0
-    # row's bound is its exact value. Sent no floor, it skips nothing.
+    # Sent an infinite floor, the stream transforms its first row and then
+    # skips every other, each with a bound on its |f|^2; the r = 0 row's
+    # bound is its exact value. Sent no floor, it skips nothing.
     n = 16384
     radii = tuple(k / 10 for k in range(9))
     c = transform.dft_forward(_random_complex(n, seed=23))
@@ -280,13 +280,13 @@ def test_block_stream_skips_runs_whose_bound_is_below_the_floor():
     stream = transform.BlockStream(radii, n)
     blocks = stream.blocks(c)
     start, rows = next(blocks)
-    assert (start, rows.shape[0]) == (6, 3)
-    skipped = [blocks.send(np.inf) for _ in range(3)]
+    assert (start, rows.shape[0]) == (8, 1)
+    skipped = [blocks.send(np.inf) for _ in range(8)]
     with pytest.raises(StopIteration):
         blocks.send(np.inf)
-    assert [(s.start, s.stop) for s in skipped] == [(3, 6), (1, 3), (0, 1)]
+    assert [(s.start, s.stop) for s in skipped] == [(s, s + 1) for s in range(7, -1, -1)]
     for s in skipped:
-        assert s.bound >= top[s.start:s.stop].max()
+        assert s.bound >= top[s.start]
     assert skipped[-1].bound == top[0]
     assert all(not isinstance(b, transform.SkippedRows) for b in stream.blocks(c))
 
@@ -307,20 +307,20 @@ def test_radius_tables_hold_no_subnormal_weights():
     # range long before l = N; such weights must be stored as exact zeros.
     n = 65536
     radii = tuple(k / 10 for k in range(9))
-    blocks = transform._radius_tables(radii, n)
-    layout = _block_layout(radii, n)
-    assert [b[:2] for b in layout] == [(s, s + 1) for s in range(1, 9)]  # one row per block
-    assert all(p == 1 or p >= 16 for _, _, p in layout)
+    tables = transform._radius_tables(radii, n)
+    layout = _row_strides(radii, n)
+    assert [s for s, _ in layout] == list(range(1, 9))  # r = 0 has no table
+    assert all(p == 1 or p >= 16 for _, p in layout)
     tiny = np.finfo(np.float64).tiny
-    for b in blocks:
-        assert not np.any((b.weights > 0.0) & (b.weights < tiny))
-        assert np.all(b.weights >= 0.0)
+    for row in tables[1:]:
+        assert not np.any((row.weights > 0.0) & (row.weights < tiny))
+        assert np.all(row.weights >= 0.0)
 
 
 def _last_weight_index(r, n):
     # Largest l whose scaled weight r^l sqrt(1-r^2)/(N(1-r^N)) is normal.
-    (block,) = transform._radius_tables((r,), n)
-    return int(block.gather[np.flatnonzero(block.weights[0])].max())
+    (row,) = transform._radius_tables((r,), n)
+    return int(row.gather[np.flatnonzero(row.weights)].max())
 
 
 @pytest.mark.parametrize("r", [k / 10 for k in range(1, 9)])
@@ -328,7 +328,7 @@ def test_pruned_single_mode_closed_form(r):
     # G = z^l with l the last nonzero weight index of the row: the pruned
     # leaf must carry it exactly (P = 128, 128, 64, 64, 64, 32, 32, 16).
     n = 65536
-    assert _block_layout((r,), n)[0][2] >= 16
+    assert _row_strides((r,), n)[0][1] >= 16
     l = _last_weight_index(r, n)
     c = np.zeros(n, dtype=np.complex128)
     c[l] = n
@@ -345,7 +345,7 @@ def test_pruned_rows_match_direct_field():
     # At N = 8192 the rows r = 0.1 and 0.2 are pruned with P = 16.
     n = 8192
     radii = (0.1, 0.2)
-    assert _block_layout(radii, n) == [(0, 2, 16)]
+    assert _row_strides(radii, n) == [(0, 16), (1, 16)]
     g = _random_complex(n, seed=12)
     fast = transform.weighted_inverse_grid(transform.dft_forward(g), radii)
     direct = oracle.field_direct(g, core.ParameterGrid(radii, n))
@@ -363,7 +363,7 @@ def test_leaf_tiles_match_one_product(n, p):
     x = np.stack([_random_complex(q, seed=13), _random_complex(q, seed=14)])
     expected = np.stack([(row.reshape(-1, 16) @ leaf).reshape(n) for row in x])
     out = np.empty((2, n), dtype=np.complex128)
-    transform._transform(x, out, leaf, ())
+    transform._transform(x, out, leaf, (), np.empty(n, dtype=np.complex128))
     assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
 
 
