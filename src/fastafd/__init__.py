@@ -2,10 +2,10 @@
 
 The package expands a boundary-sampled signal over adaptively selected
 normalized reproducing kernels, one atom per step, with two interchangeable
-engines for the per-step selection field: a batched radix-2 weighted inverse
-transform (O(M N log N)) and a plain quadrature baseline (O(M N^2)). See
-`fastafd.core.decompose` for the main entry point and the `fastafd` console
-script for the file pipeline.
+engines for the per-step selection field: a radix-2 weighted inverse
+transform per radius (O(M N log N)) and a plain quadrature baseline
+(O(M N^2)). See `fastafd.core.decompose` for the main entry point and the
+`fastafd` console script for the file pipeline.
 """
 
 from .core import (

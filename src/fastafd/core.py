@@ -16,13 +16,14 @@ sampled exponentials e^{int} orthonormal and ties the per-step coefficients
 to an exact discrete energy bookkeeping: ||G||^2 - sum |c_k|^2 equals the
 remainder energy at every prefix, up to roundoff.
 
-Two interchangeable engines evaluate the selection field: "fft" runs the
-batched weighted inverse transform (O(M N log N) per step), "direct" the
-plain quadrature sums (O(M N^2), see the oracle module). The fft path
+Two interchangeable engines evaluate the selection field: "fft" runs one
+weighted inverse transform per radius (O(M N log N) per step), "direct"
+the plain quadrature sums (O(M N^2), see the oracle module). The fft path
 streams the field to the selection one radius row at a time, outermost
-first, so a step never holds the whole M x N field; the selection sends
-the stream its running maximum, and the stream skips every row whose
-triangle bound lies below it, so most inner rows are never transformed.
+first, so a step never holds the whole M x N field. The selection takes
+each row's |f|^2 and first argmax as the row arrives and sends the stream
+its running maximum; the stream skips every row whose triangle bound lies
+below it, so most inner rows are never transformed.
 Both engines see identical grids and the same deterministic tie-break,
 which does not depend on the order rows arrive in or on which are
 skipped; their poles differ only where field maxima tie mathematically and
@@ -257,16 +258,15 @@ def inner_product_field(c, grid):
 def maximal_selection(field_values, grid):
     """Grid point with the largest |<G, e_a>|^2 and its field value.
 
-    `field_values` is the (M, N) field, or an iterator of (start, rows)
-    blocks that cover its rows once each in any order, as
-    :meth:`transform.BlockStream.blocks` yields them; an array is one
-    block. Each block's |f|^2 and first argmax are taken as the block
-    arrives, so no more than one block is held at a time. An iterator with
-    a `send` method, such as a block stream, is sent the running maximum
-    of |f|^2 after each block, and may answer with a
-    :class:`transform.SkippedRows` in place of rows that cannot reach it;
-    the pick stands only if every such bound lies strictly below the final
-    maximum.
+    `field_values` is the (M, N) field, or an iterator of (s, row) items,
+    row an (N,) array, that cover the field's rows once each in any order,
+    as :meth:`transform.RowStream.rows` yields them; an array is walked row
+    by row. Each row's |f|^2 and first argmax are taken as the row arrives,
+    so no more than one row is held at a time. An iterator with a `send`
+    method, such as a row stream, is sent the running maximum of |f|^2
+    after each row, and may answer with a :class:`transform.SkippedRow` in
+    place of a row that cannot reach it; the pick stands only if every such
+    bound lies strictly below the final maximum.
 
     The larger |f|^2 wins, then the smaller radius index, then the smaller
     angle index (exact floating-point comparison, no epsilon band). That
@@ -275,48 +275,40 @@ def maximal_selection(field_values, grid):
     """
     m, n = len(grid.radii), grid.angular_count
     if isinstance(field_values, Iterator):
-        blocks = field_values
+        rows = field_values
     else:
         f = np.asarray(field_values)
         if f.shape != (m, n):
             raise ValueError("field shape %r does not match grid %r" % (f.shape, (m, n)))
-        blocks = iter([(0, f)])
-    advance = getattr(blocks, "send", None) or (lambda floor: next(blocks))
-    covered = np.zeros(m, dtype=bool)
+        rows = enumerate(f)
+    advance = getattr(rows, "send", None) or (lambda floor: next(rows))
+    covered = [False] * m
     best = None  # (|f|^2, s, j, value)
-    skipped = -np.inf  # largest bound of a skipped run
+    skipped = -np.inf  # largest bound of a skipped row
     while True:
         try:
             item = advance(None if best is None else best[0])
         except StopIteration:
             break
-        if isinstance(item, transform.SkippedRows):
-            start, stop, bound = item
-            skipped = max(skipped, bound)
-            rows = None
-        else:
-            start, rows = item
-            rows = np.asarray(rows)
-            if rows.ndim != 2 or rows.shape[1] != n:
-                raise ValueError("block of shape %r does not fit a field of shape %r"
-                                 % (rows.shape, (m, n)))
-            stop = start + rows.shape[0]
-        if not 0 <= start < stop <= m or covered[start:stop].any():
-            raise ValueError("rows %d to %d are empty, outside the field's %d rows "
-                             "or seen before" % (start, stop - 1, m))
-        covered[start:stop] = True
-        if rows is None:
+        s, row = item
+        if not 0 <= s < m or covered[s]:
+            raise ValueError("row %d is outside the field's %d rows or seen before"
+                             % (s, m))
+        covered[s] = True
+        if isinstance(item, transform.SkippedRow):
+            skipped = max(skipped, item.bound)
             continue
-        magnitude = rows.real ** 2
-        magnitude += rows.imag ** 2
-        s, j = np.unravel_index(np.argmax(magnitude), magnitude.shape)
-        s, j = start + int(s), int(j)
-        value = magnitude[s - start, j]
+        if row.shape != (n,):
+            raise ValueError("row of shape %r does not fit a field of shape %r"
+                             % (row.shape, (m, n)))
+        magnitude = row.real ** 2
+        magnitude += row.imag ** 2
+        j = int(np.argmax(magnitude))
+        value = magnitude[j]
         if best is None or (-value, s, j) < (-best[0], best[1], best[2]):
-            best = (value, s, j, complex(rows[s - start, j]))
-    if not covered.all():
-        raise ValueError("blocks cover %d of the field's %d rows"
-                         % (np.count_nonzero(covered), m))
+            best = (value, s, j, complex(row[j]))
+    if not all(covered):
+        raise ValueError("rows cover %d of the field's %d rows" % (sum(covered), m))
     if best is None or not skipped < best[0]:
         raise ValueError("rows were skipped with a bound %g not below the maximum %g"
                          % (skipped, np.nan if best is None else best[0]))
@@ -358,8 +350,8 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     threshold : float, optional
         Relative-energy stopping level in (0, 1].
     engine : {"fft", "direct"}
-        Field evaluator: batched weighted inverse transform, or the plain
-        quadrature sums. Both select the same poles, except where field
+        Field evaluator: one weighted inverse transform per radius, or the
+        plain quadrature sums. Both select the same poles, except where field
         maxima tie mathematically and roundoff breaks the tie differently
         in each engine.
     dc_first : bool
@@ -410,7 +402,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     # One stream serves every step. Its buffers are allocated once, not per
     # step, so the allocator cannot hand them back to the system between
     # steps and fault their pages in again.
-    stream = transform.BlockStream(grid.radii, g.shape[0]) if engine == "fft" else None
+    stream = transform.RowStream(grid.radii, g.shape[0]) if engine == "fft" else None
     remainder = g
     steps = []
     for k in range(max_terms):
@@ -419,7 +411,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
             coeff = complex(np.mean(remainder))
         else:
             if engine == "fft":
-                f = stream.blocks(spectral_coefficients(remainder))
+                f = stream.rows(spectral_coefficients(remainder))
             else:
                 f = oracle.field_direct(remainder, grid)
             point, coeff = maximal_selection(f, grid)

@@ -22,11 +22,12 @@ matrix product (Van Loan, 1992); the remaining radix-2 stages run on one
 radius row at a time (1 MiB at N = 2^16), so a row stays in cache through
 all of its stages instead of the whole field streaming through memory once
 per stage. The leaf size is a fixed constant, not an option. One loop,
-:class:`BlockStream`, walks the rows from the last back to the first,
+:class:`RowStream`, walks the rows from the last back to the first,
 which on a grid's increasing radii is outermost first, and yields each
-row from one buffer that it reuses across fields, so a caller that reduces
-the rows as they come (the selection step) never holds more than one row;
-:func:`weighted_inverse_grid` copies every row into the (M, N) result.
+row as a 1-d array in one buffer that it reuses across fields, so a caller
+that reduces the rows as they come (the selection step) never holds more
+than one row; :func:`weighted_inverse_grid` copies every row into the
+(M, N) result.
 
 Such a caller may also send the stream a floor, its running maximum of
 |f|^2, and the stream then skips every row that cannot reach it. A row's
@@ -75,8 +76,8 @@ __all__ = [
     "dft_inverse",
     "weighted_inverse",
     "weighted_inverse_grid",
-    "BlockStream",
-    "SkippedRows",
+    "RowStream",
+    "SkippedRow",
 ]
 
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
@@ -115,15 +116,14 @@ class _Row(NamedTuple):
     stages: tuple
 
 
-class SkippedRows(NamedTuple):
-    """Rows [start, stop) of a block stream left untransformed.
+class SkippedRow(NamedTuple):
+    """Row `s` of a row stream left untransformed.
 
-    `bound` is at least every |f|^2 on those rows; the stream skipped them
+    `bound` is at least every |f|^2 on the row; the stream skipped it
     because it lay below the floor its caller sent.
     """
 
-    start: int
-    stop: int
+    s: int
     bound: float
 
 
@@ -194,35 +194,32 @@ def _pruned_leaf(p):
 
 
 def _transform(x, out, leaf, stages, scratch):
-    """Transform the bit-reversed rows of `x` into `out` (B, N).
+    """Transform the bit-reversed row `x` into the row `out` (N,).
 
-    `x` is (B, N) for a full transform, or (B, Q) holding the nonzero
-    entries of pruned rows with a `leaf` from :func:`_pruned_leaf`. The
-    leaf is one stacked matmul, which numpy evaluates as fixed-shape tile
-    products inside a row, so a row's result never depends on how many rows
-    share the call (BLAS rounds a product differently as its row count
-    changes), and no product is large enough for BLAS to use a second
-    thread. The `stages` then run in place on `out`, which must be C-contiguous:
-    the per-stage reshape below must alias it, and numpy returns copies for
-    reshapes of non-C-ordered arrays, which would silently discard every
-    update. `scratch` is a flat buffer for the stages, which use its first
-    out.size / 2 entries; it may share memory with `x`, which the leaf has
-    consumed.
+    `x` is (N,) for a full transform, or (Q,) holding the nonzero entries
+    of a pruned row with a `leaf` from :func:`_pruned_leaf`. The leaf is
+    one stacked matmul of fixed-shape tiles, none large enough for BLAS to
+    use a second thread (see the module docstring). The `stages` then run
+    in place on `out`, which must be C-contiguous: the per-stage reshape
+    below must alias it, and numpy returns copies for reshapes of
+    non-C-ordered arrays, which would silently discard every update.
+    `scratch` is a flat buffer for the stages, which use its first N / 2
+    entries; it may share memory with `x`, which the leaf has consumed.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
         raise ValueError("transform buffers must be C-contiguous")
-    # Tile t of block i is rows [i m, i m + m) of the (B Q / k, k) input times
-    # columns [t w, t w + w) of the leaf; m divides Q / k, so no tile spans rows.
+    # Tile (i, t) is rows [i m, i m + m) of the (Q / k, k) input times
+    # columns [t w, t w + w) of the leaf; m divides Q / k.
     k, width = leaf.shape
     w = min(width, _TILE_WIDTH)
-    m = min(x.shape[1] // k, _TILE // w)
+    m = min(x.shape[0] // k, _TILE // w)
     np.matmul(x.reshape(-1, 1, m, k), leaf.reshape(k, -1, w).transpose(1, 0, 2),
               out=out.reshape(-1, m, width // w, w).transpose(0, 2, 1, 3))
     scratch = scratch[: out.size // 2]
     for tw in stages:
         half = tw.shape[0]
-        blocks = out.reshape(-1, 2 * half)
-        lo, hi = blocks[:, :half], blocks[:, half:]
+        spans = out.reshape(-1, 2 * half)
+        lo, hi = spans[:, :half], spans[:, half:]
         t = scratch.reshape(-1, half)
         np.multiply(hi, tw, out=t)
         np.subtract(lo, t, out=hi)
@@ -245,7 +242,7 @@ def _dft(x, inverse):
     plan = _plan(n)
     y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
     out = np.empty(n, dtype=np.complex128)
-    _transform(y[None], out[None], *(plan.inverse if inverse else plan.forward), y)
+    _transform(y, out, *(plan.inverse if inverse else plan.forward), y)
     if inverse:
         out /= n
     return out
@@ -348,19 +345,19 @@ def weighted_inverse(c, r):
     return weighted_inverse_grid(c, (r,))[0]
 
 
-class BlockStream:
+class RowStream:
     """Weighted inverse rows of one grid, a row at a time, in one buffer.
 
-    `BlockStream(radii, n).blocks(c)` yields (start, rows): rows is a (1, N)
-    array holding row `start` of :func:`weighted_inverse_grid` for the same
-    c and radii, bit for bit. The rows come once each, from the last back
-    to the first (outermost first on increasing radii). A caller iterating
-    with `send(floor)` instead of `next` gets a :class:`SkippedRows` in place
-    of every later row whose |f|^2 provably lies below `floor`; see the
-    module docstring for the bound. Every row of every call is written into
-    one (1, N) buffer, and every transform input and stage scratch into one
-    more buffer of at most N entries. So a caller that reduces each row as
-    it comes, such as the selection step, runs field after field over the
+    `RowStream(radii, n).rows(c)` yields (s, row): row is an (N,) array
+    holding row `s` of :func:`weighted_inverse_grid` for the same c and
+    radii, bit for bit. The rows come once each, from the last back to the
+    first (outermost first on increasing radii). A caller iterating with
+    `send(floor)` instead of `next` gets a :class:`SkippedRow` in place of
+    every later row whose |f|^2 provably lies below `floor`; see the module
+    docstring for the bound. Every row of every call is written into one
+    (N,) buffer, and every transform input and stage scratch into one more
+    buffer of at most N entries. So a caller that reduces each row as it
+    comes, such as the selection step, runs field after field over the
     grid without holding the (M, N) field or allocating either buffer
     again, but a row is valid only until the next one is requested, from
     this call or another on the same stream.
@@ -372,16 +369,16 @@ class BlockStream:
         if not radii:
             raise ValueError("need at least one radius")
         self._tables = _radius_tables(radii, n)
-        self._buffer = np.empty((1, n), dtype=np.complex128)
+        self._buffer = np.empty(n, dtype=np.complex128)
         size = max([n // 2] + [row.weights.size for row in self._tables if row is not None])
         self._work = np.empty(size, dtype=np.complex128)
 
-    def blocks(self, c):
+    def rows(self, c):
         """Generator of the rows for the coefficients c (see the class)."""
         c, n = _checked_length(c)
-        if n != self._buffer.shape[1]:
+        if n != self._buffer.shape[0]:
             raise ValueError("coefficient length %d does not match the stream's %d"
-                             % (n, self._buffer.shape[1]))
+                             % (n, self._buffer.shape[0]))
         return self._weighted_rows(np.asarray(c, dtype=np.complex128))
 
     def _weighted_rows(self, c):
@@ -389,7 +386,7 @@ class BlockStream:
 
         Each row yields (s, buffer), except that once the caller has sent a
         floor, a row whose squared bound lies below it yields
-        :class:`SkippedRows` instead and is not transformed.
+        :class:`SkippedRow` instead and is not transformed.
         """
         n = c.shape[0]
         floor = None
@@ -407,12 +404,12 @@ class BlockStream:
                 if floor is not None:
                     bound = (np.abs(y).sum() * (1.0 + _MARGIN)) ** 2
             if floor is not None and bound < floor:
-                floor = yield SkippedRows(s, s + 1, float(bound))
+                floor = yield SkippedRow(s, float(bound))
                 continue
             if row is None:
                 self._buffer[...] = value
             else:
-                _transform(y[None], self._buffer, row.leaf, row.stages, self._work)
+                _transform(y, self._buffer, row.leaf, row.stages, self._work)
             floor = yield s, self._buffer
 
 
@@ -422,13 +419,13 @@ def weighted_inverse_grid(c, radii):
     Each row transforms only its nonzero weight prefix of length Q (see
     :func:`_radius_tables`); a pruned row's weighted prefix has its
     subnormal parts set to zero first. At r = 0 only the l = 0 term
-    survives, and the row is the constant c_0 / N. The rows are those of a
-    :class:`BlockStream` that is sent no floor, so no row is skipped, and
-    each row is identical to a single-radius call.
+    survives, and the row is the constant c_0 / N. `out[s]` is the row `s`
+    that a :class:`RowStream` sent no floor yields, so no row is skipped,
+    and each row is identical to a single-radius call.
     """
     c, n = _checked_length(c)
-    stream = BlockStream(radii, n)
+    stream = RowStream(radii, n)
     out = np.empty((len(stream._tables), n), dtype=np.complex128)
-    for s, rows in stream.blocks(c):
-        out[s] = rows[0]
+    for s, row in stream.rows(c):
+        out[s] = row
     return out

@@ -51,8 +51,8 @@ def test_decompose_output_is_byte_deterministic(tmp_path):
     _assert_decompose_is_byte_deterministic(tmp_path, 256)
 
 
-def test_decompose_output_is_byte_deterministic_one_row_blocks(tmp_path):
-    # At 65536 samples the field runs one radius row per block.
+def test_decompose_output_is_byte_deterministic_at_the_top_size(tmp_path):
+    # At 65536 samples every nonzero radius row is input-pruned.
     _assert_decompose_is_byte_deterministic(tmp_path, 65536)
 
 

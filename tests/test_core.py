@@ -226,16 +226,15 @@ def test_streamed_selection_matches_full_field_every_step(kind):
     grid = core.ParameterGrid.experiment_default(n)
     g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
          "random": lambda n: _random_hardy(n, seed=3)}[kind](n)
-    stream = transform.BlockStream(grid.radii, n)
-    layout = [(start, rows.shape[0])
-              for start, rows in stream.blocks(core.spectral_coefficients(g))]
-    assert layout == [(s, 1) for s in range(8, -1, -1)]
+    stream = transform.RowStream(grid.radii, n)
+    layout = [(s, row.shape) for s, row in stream.rows(core.spectral_coefficients(g))]
+    assert layout == [(s, (n,)) for s in range(8, -1, -1)]
     d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
     remainder = g
     for step in d.steps:
         c = core.spectral_coefficients(remainder)
-        streamed = core.maximal_selection(stream.blocks(c), grid)
+        streamed = core.maximal_selection(stream.rows(c), grid)
         _assert_same_pick(streamed, _full_pick(c, grid))
         _assert_same_pick(streamed, (step.point, step.coefficient))
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
@@ -255,78 +254,76 @@ def test_streamed_selection_keeps_the_exact_tie_of_f2():
     c = core.spectral_coefficients(remainder)
     magnitude = np.abs(core.inner_product_field(c, grid)) ** 2
     assert magnitude[8, 0] == magnitude[8, n // 2] == magnitude.max()
-    streamed = core.maximal_selection(transform.BlockStream(grid.radii, n).blocks(c),
-                                      grid)
+    streamed = core.maximal_selection(transform.RowStream(grid.radii, n).rows(c), grid)
     _assert_same_pick(streamed, _full_pick(c, grid))
     assert (streamed[0].radius, streamed[0].angle_index) == (0.8, 0)
     assert d.steps[2].point == streamed[0]
 
 
-def test_streamed_selection_ties_break_row_major_across_blocks():
+def test_streamed_selection_ties_break_row_major_across_rows():
     grid = _grid(8, radii=(0.0, 0.2, 0.4))
-    first = np.zeros((1, 8), dtype=np.complex128)
-    second = np.zeros((2, 8), dtype=np.complex128)
-    # Equal maxima in two blocks: the lower row wins.
-    first[0, 5] = 2.0
-    second[1, 2] = 2.0j
-    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    rows = np.zeros((3, 8), dtype=np.complex128)
+    # Equal maxima on two rows: the lower row wins.
+    rows[0, 5] = 2.0
+    rows[2, 2] = 2.0j
+    point, coeff = core.maximal_selection(enumerate(rows), grid)
     assert (point.radius, point.angle_index, coeff) == (0.0, 5, 2.0)
-    # A strictly larger value in a later block wins.
-    second[1, 2] = 3.0j
-    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    # A strictly larger value on a later row wins.
+    rows[2, 2] = 3.0j
+    point, coeff = core.maximal_selection(enumerate(rows), grid)
     assert (point.radius, point.angle_index, coeff) == (0.4, 2, 3.0j)
-    # Equal maxima at two columns of one block: the smaller j wins.
-    second[0, 6] = 3.0
-    second[0, 4] = -3.0
-    point, coeff = core.maximal_selection(iter([(0, first), (1, second)]), grid)
+    # Equal maxima at two columns of one row: the smaller j wins.
+    rows[1, 6] = 3.0
+    rows[1, 4] = -3.0
+    point, coeff = core.maximal_selection(enumerate(rows), grid)
     assert (point.radius, point.angle_index, coeff) == (0.2, 4, -3.0)
 
 
 def test_streamed_selection_ties_break_row_major_in_any_order():
     grid = _grid(8, radii=(0.0, 0.2, 0.4))
-    inner = np.zeros((1, 8), dtype=np.complex128)
-    outer = np.zeros((2, 8), dtype=np.complex128)
-    # Equal maxima, the outer rows first: the lower row still wins.
-    inner[0, 5] = 2.0
-    outer[1, 2] = 2.0j
-    point, coeff = core.maximal_selection(iter([(1, outer), (0, inner)]), grid)
+    rows = np.zeros((3, 8), dtype=np.complex128)
+    # Equal maxima, the outer row first: the lower row still wins.
+    rows[0, 5] = 2.0
+    rows[2, 2] = 2.0j
+    point, coeff = core.maximal_selection(iter([(2, rows[2]), (0, rows[0]), (1, rows[1])]),
+                                          grid)
     assert (point.radius, point.angle_index, coeff) == (0.0, 5, 2.0)
-    # One-row blocks in reverse order, equal maxima on rows 2 and 1 and at
-    # two angles of row 1: row 1 at the smaller angle wins.
-    inner[0, 5] = 0.0
-    middle = np.zeros((1, 8), dtype=np.complex128)
-    middle[0, 6] = 2.0j
-    middle[0, 4] = -2.0
-    point, coeff = core.maximal_selection(
-        iter([(2, outer[1:]), (1, middle), (0, inner)]), grid)
+    # Rows in reverse order, equal maxima on rows 2 and 1 and at two angles
+    # of row 1: row 1 at the smaller angle wins.
+    rows[0, 5] = 0.0
+    rows[1, 6] = 2.0j
+    rows[1, 4] = -2.0
+    point, coeff = core.maximal_selection(iter([(2, rows[2]), (1, rows[1]), (0, rows[0])]),
+                                          grid)
     assert (point.radius, point.angle_index, coeff) == (0.2, 4, -2.0)
 
 
 def test_maximal_selection_accepts_rows_skipped_below_the_maximum():
     grid = _grid(8, radii=(0.0, 0.2, 0.4))
-    outer = np.zeros((2, 8), dtype=np.complex128)
-    outer[1, 2] = 2.0  # |f|^2 = 4
+    rows = np.zeros((3, 8), dtype=np.complex128)
+    rows[2, 2] = 2.0  # |f|^2 = 4
     point, coeff = core.maximal_selection(
-        iter([(1, outer), transform.SkippedRows(0, 1, 3.9)]), grid)
+        iter([(2, rows[2]), (1, rows[1]), transform.SkippedRow(0, 3.9)]), grid)
     assert (point.radius, point.angle_index, coeff) == (0.4, 2, 2.0)
 
 
-@pytest.mark.parametrize("blocks", [
-    [],                                           # no rows
-    [(0, 1, 8), (1, 1, 8)],                       # fewer than M rows
-    [(0, 1, 8), (1, 2, 8), (3, 1, 8)],            # more than M rows
-    [(0, 3, 8), (3, 1, 8)],                       # more than M rows in one go
-    [(0, 1, 8), (2, 1, 8)],                       # a row skipped
-    [(0, 2, 8), (1, 2, 8)],                       # a row repeated
-    [(0, 1, 8), (1, 2, 4)],                       # rows of the wrong length
-    [(0, 0, 8), (0, 3, 8)],                       # an empty block
-    [(1, 2, 8), transform.SkippedRows(0, 1, 1.0)],  # a row skipped, bound not below
-    [transform.SkippedRows(0, 3, 0.0)],           # every row skipped
-])
-def test_maximal_selection_rejects_bad_block_stream(blocks):
-    # Blocks of ones, so |f|^2 = 1 on every row that is evaluated.
-    stream = iter([b if isinstance(b, transform.SkippedRows)
-                   else (b[0], np.ones(b[1:], dtype=np.complex128)) for b in blocks])
+@pytest.mark.parametrize("items", [
+    [],                                                # no rows
+    [(0, (8,)), (1, (8,))],                            # too few rows
+    [(0, (8,)), (1, (8,)), (3, (8,))],                 # a row outside the field
+    [(-1, (8,)), (0, (8,)), (1, (8,))],                # a row index below 0
+    [(0, (8,)), (1, (8,)), (1, (8,)), (2, (8,))],      # a repeated row
+    [(0, (8,)), (1, (4,)), (2, (8,))],                 # a row of the wrong length
+    [(0, (1, 8)), (1, (1, 8)), (2, (1, 8))],           # (1, N) rows, once blocks
+    [(0, (2, 8)), (2, (1, 8))],                        # a (2, N) row, once a block
+    [(2, (8,)), (1, (8,)), transform.SkippedRow(0, 1.0)],  # a bound not below
+    [transform.SkippedRow(s, 0.0) for s in (2, 1, 0)],  # every row skipped
+], ids=["no-rows", "too-few-rows", "row-outside", "row-below-0", "repeated-row", "wrong-length",
+        "one-by-n-row", "two-by-n-row", "bound-not-below", "every-row-skipped"])
+def test_maximal_selection_rejects_bad_row_stream(items):
+    # Rows of ones, so |f|^2 = 1 on every row that is evaluated.
+    stream = iter([item if isinstance(item, transform.SkippedRow)
+                   else (item[0], np.ones(item[1], dtype=np.complex128)) for item in items])
     with pytest.raises(ValueError):
         core.maximal_selection(stream, _grid(8))
 
@@ -364,7 +361,7 @@ def _exactness_grid(kind, n):
 @given(kind=st.sampled_from(["random", "real coefficient", "f1", "f2"]),
        seed=st.integers(0, 2 ** 32 - 1), dc_first=st.booleans())
 def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
-    # The stream skips the runs whose bound lies below the running maximum;
+    # The stream skips the rows whose bound lies below the running maximum;
     # at every step its pick must be the full field's, bit for bit.
     grid = _exactness_grid(grid_kind, n)
     if kind in ("f1", "f2"):
@@ -374,11 +371,11 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
         if kind == "real coefficient":
             g = _real_coefficient(g)
     d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
-    stream = transform.BlockStream(grid.radii, n)
+    stream = transform.RowStream(grid.radii, n)
     remainder = g
     for k, step in enumerate(d.steps):
         c = core.spectral_coefficients(remainder)
-        streamed = core.maximal_selection(stream.blocks(c), grid)
+        streamed = core.maximal_selection(stream.rows(c), grid)
         _assert_same_pick(streamed, _full_pick(c, grid))
         if k > 0 or not dc_first:
             _assert_same_pick(streamed, (step.point, step.coefficient))
@@ -393,28 +390,29 @@ def test_decompose_skips_most_rows_at_the_top_size(monkeypatch, n):
     # transformed, so a change that disables the skip fails.
     grid = core.ParameterGrid.experiment_default(n)
     forward_leaf = transform._plan(n).forward[0]
-    transform_rows = transform._transform
-    rows = []
+    transform_row = transform._transform
+    weighted_calls = 0
 
     def counting(x, out, leaf, stages, scratch):
+        nonlocal weighted_calls
         if leaf is not forward_leaf:  # not a dft_forward call
-            rows.append(out.shape[0])
-        return transform_rows(x, out, leaf, stages, scratch)
+            weighted_calls += 1
+        return transform_row(x, out, leaf, stages, scratch)
 
     g = signals.synth_f2(n)
     monkeypatch.setattr(transform, "_transform", counting)
     core.inner_product_field(core.spectral_coefficients(g), grid)
-    assert sum(rows) == 8  # the full field transforms every nonzero radius
-    rows.clear()
+    assert weighted_calls == 8  # the full field transforms every nonzero radius
+    weighted_calls = 0
     core.decompose(g, grid, max_terms=10, dc_first=True)
-    assert 0 < sum(rows) <= 36
+    assert 0 < weighted_calls <= 36
 
 
 @pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),
                                    core.radius_range(0.0, 0.025, 0.8)])
 def test_decompose_working_set_is_independent_of_grid_size(radii):
-    # The fft engine reduces the field block by block, so a step holds a
-    # few signal-length buffers and one block, not M x N field entries.
+    # The fft engine reduces the field row by row, so a step holds a few
+    # signal-length buffers and one row, not M x N field entries.
     n = 65536
     grid = core.ParameterGrid(radii, n)
     g = signals.synth_random_hardy(n, degree=256, seed=5)

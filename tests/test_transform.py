@@ -253,23 +253,24 @@ def test_grid_zero_radius_row_between_others():
     (16384, tuple(k / 10 for k in range(9))),        # pruned and unpruned rows
     (65536, tuple(k / 40 for k in range(33))),
 ])
-def test_block_stream_matches_grid_rows(n, radii):
-    # One stream serves field after field: each field's rows come last row
-    # first, and stacked back in row order they are bit-identical to the
-    # (M, N) grid of the same coefficients.
-    stream = transform.BlockStream(radii, n)
+def test_row_stream_matches_grid_rows(n, radii):
+    # One stream serves field after field: each field's (N,) rows come last
+    # row first, and stacked back in row order they are bit-identical to
+    # the (M, N) grid of the same coefficients.
+    stream = transform.RowStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
         expected = transform.weighted_inverse_grid(c, radii)
-        starts, rows = [], []
-        for start, block in stream.blocks(c):
-            starts.append(start)
-            rows.append(block.copy())
-        assert starts == sorted(set(starts), reverse=True)
-        assert np.array_equal(np.concatenate(rows[::-1]), expected)
+        order, rows = [], []
+        for s, row in stream.rows(c):
+            assert row.shape == (n,)
+            order.append(s)
+            rows.append(row.copy())
+        assert order == list(range(len(radii) - 1, -1, -1))
+        assert np.array_equal(np.stack(rows[::-1]), expected)
 
 
-def test_block_stream_skips_runs_whose_bound_is_below_the_floor():
+def test_row_stream_skips_rows_whose_bound_is_below_the_floor():
     # Sent an infinite floor, the stream transforms its first row and then
     # skips every other, each with a bound on its |f|^2; the r = 0 row's
     # bound is its exact value. Sent no floor, it skips nothing.
@@ -277,29 +278,29 @@ def test_block_stream_skips_runs_whose_bound_is_below_the_floor():
     radii = tuple(k / 10 for k in range(9))
     c = transform.dft_forward(_random_complex(n, seed=23))
     top = (np.abs(transform.weighted_inverse_grid(c, radii)) ** 2).max(axis=1)
-    stream = transform.BlockStream(radii, n)
-    blocks = stream.blocks(c)
-    start, rows = next(blocks)
-    assert (start, rows.shape[0]) == (8, 1)
-    skipped = [blocks.send(np.inf) for _ in range(8)]
+    stream = transform.RowStream(radii, n)
+    rows = stream.rows(c)
+    s, row = next(rows)
+    assert (s, row.shape) == (8, (n,))
+    skipped = [rows.send(np.inf) for _ in range(8)]
     with pytest.raises(StopIteration):
-        blocks.send(np.inf)
-    assert [(s.start, s.stop) for s in skipped] == [(s, s + 1) for s in range(7, -1, -1)]
-    for s in skipped:
-        assert s.bound >= top[s.start]
+        rows.send(np.inf)
+    assert [item.s for item in skipped] == list(range(7, -1, -1))
+    for item in skipped:
+        assert item.bound >= top[item.s]
     assert skipped[-1].bound == top[0]
-    assert all(not isinstance(b, transform.SkippedRows) for b in stream.blocks(c))
+    assert all(not isinstance(item, transform.SkippedRow) for item in stream.rows(c))
 
 
-def test_block_stream_domain_errors():
+def test_row_stream_domain_errors():
     with pytest.raises(ValueError):
-        transform.BlockStream((0.5,), 48)
+        transform.RowStream((0.5,), 48)
     with pytest.raises(ValueError):
-        transform.BlockStream((), 64)
+        transform.RowStream((), 64)
     with pytest.raises(ValueError):
-        transform.BlockStream((1.0,), 64)
+        transform.RowStream((1.0,), 64)
     with pytest.raises(ValueError):
-        transform.BlockStream((0.5,), 64).blocks(np.ones(32, dtype=np.complex128))
+        transform.RowStream((0.5,), 64).rows(np.ones(32, dtype=np.complex128))
 
 
 def test_radius_tables_hold_no_subnormal_weights():
@@ -356,15 +357,16 @@ def test_pruned_rows_match_direct_field():
 @pytest.mark.parametrize("n, p", [(64, 1), (65536, 1), (65536, 16), (65536, 128),
                                   (8192, 512)])
 def test_leaf_tiles_match_one_product(n, p):
-    # The leaf runs as BLAS tiles of at most 2048 outputs; the tiles of two
-    # rows together must give each row's one (Q/16, 16) x (16, 16 P) product.
+    # The leaf runs as BLAS tiles of at most 2048 outputs; together they must
+    # give each row's one (Q/16, 16) x (16, 16 P) product.
     q = n // p
     leaf = transform._plan(n).inverse[0] if p == 1 else transform._pruned_leaf(p)
-    x = np.stack([_random_complex(q, seed=13), _random_complex(q, seed=14)])
-    expected = np.stack([(row.reshape(-1, 16) @ leaf).reshape(n) for row in x])
-    out = np.empty((2, n), dtype=np.complex128)
-    transform._transform(x, out, leaf, (), np.empty(n, dtype=np.complex128))
-    assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
+    for seed in (13, 14):
+        x = _random_complex(q, seed=seed)
+        expected = (x.reshape(-1, 16) @ leaf).reshape(n)
+        out = np.empty(n, dtype=np.complex128)
+        transform._transform(x, out, leaf, (), np.empty(n, dtype=np.complex128))
+        assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
 
 
 def test_pruned_row_flushes_subnormal_weighted_coefficients():
