@@ -19,11 +19,11 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs one
 weighted inverse transform per radius (O(M N log N) per step), "direct"
 the plain quadrature sums (O(M N^2), see the oracle module). The fft path
-streams the field to the selection one radius row at a time, outermost
-first, so a step never holds the whole M x N field. The selection takes
-each row's |f|^2 and first argmax as the row arrives and sends the stream
-its running maximum; the stream skips every row whose triangle bound lies
-below it, so most inner rows are never transformed.
+streams the field to the selection one radius row at a time, in decreasing
+order of a per-row bound on |f|^2, so a step never holds the whole M x N
+field. The selection takes each row's |f|^2 and first argmax as the row
+arrives and sends the stream its running maximum; the stream skips every
+row whose bound lies below it, so a step transforms one row, typically.
 Both engines see identical grids and the same deterministic tie-break,
 which does not depend on the order rows arrive in or on which are
 skipped; their poles differ only where field maxima tie mathematically and

@@ -9,6 +9,8 @@ benchmarks. No fast transform of any kind is used in this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import core
@@ -48,6 +50,20 @@ def inner_product_direct(g, a):
     return complex(np.sqrt(1.0 - abs(value) ** 2) / n * np.sum(terms))
 
 
+@lru_cache(maxsize=32)
+def _kernel_rows(radii, n):
+    """Each radius's sampled kernel row k reversed, (M, N), read-only.
+
+    k[m] = sqrt(1 - r_s^2) / (N (1 - r_s z_m)).
+    """
+    z = core._circle(n)
+    rows = np.empty((len(radii), n), dtype=np.complex128)
+    for s, r in enumerate(radii):
+        rows[s] = ((np.sqrt(1.0 - r * r) / n) / (1.0 - r * z))[::-1]
+    rows.setflags(write=False)
+    return rows
+
+
 def field_direct(g, grid):
     """All grid inner products by direct summation, as an (M, N) matrix.
 
@@ -55,19 +71,19 @@ def field_direct(g, grid):
     a = r_s e^{i 2 pi j / N}: since a_j e^{-i t_m} depends only on j - m
     mod N, each radius row is the circular correlation of G with one sampled
     kernel row, evaluated by sliding direct summation (np.correlate, no
-    transform shortcut). Cost stays O(N^2) per radius.
+    transform shortcut). Cost stays O(N^2) per radius; the kernel rows are
+    cached per grid.
     """
     g = core._as_signal(g)
     if grid.angular_count != g.shape[0]:
         raise ValueError("grid angular_count %d does not match signal length %d"
                          % (grid.angular_count, g.shape[0]))
     n = g.shape[0]
-    z = core._circle(n)
     gc = np.conj(g)
     rows = np.empty((len(grid.radii), n), dtype=np.complex128)
-    for s, r in enumerate(grid.radii):
-        kernel_row = (np.sqrt(1.0 - r * r) / n) / (1.0 - r * z)
-        doubled = np.concatenate([kernel_row[::-1], kernel_row[::-1]])
+    for s, kernel_row in enumerate(_kernel_rows(tuple(grid.radii), n)):
+        # Sliding G along the row twice over gives the circular correlation.
+        doubled = np.concatenate([kernel_row, kernel_row])
         correlation = np.correlate(doubled, gc, "valid")
         rows[s] = correlation[n - 1 :: -1]
     return rows

@@ -22,24 +22,43 @@ matrix product (Van Loan, 1992); the remaining radix-2 stages run on one
 radius row at a time (1 MiB at N = 2^16), so a row stays in cache through
 all of its stages instead of the whole field streaming through memory once
 per stage. The leaf size is a fixed constant, not an option. One loop,
-:class:`RowStream`, walks the rows from the last back to the first,
-which on a grid's increasing radii is outermost first, and yields each
-row as a 1-d array in one buffer that it reuses across fields, so a caller
-that reduces the rows as they come (the selection step) never holds more
-than one row; :func:`weighted_inverse_grid` copies every row into the
-(M, N) result.
+:class:`RowStream`, yields each row as a 1-d array in one buffer that it
+reuses across fields, so a caller that reduces the rows as they come (the
+selection step) never holds more than one row;
+:func:`weighted_inverse_grid` copies every row into the (M, N) result.
 
 Such a caller may also send the stream a floor, its running maximum of
-|f|^2, and the stream then skips every row that cannot reach it. A row's
-transform input y bounds its output, |f(theta)| <= sum_l |y_l| by the
-triangle inequality, so before transforming a row the stream takes
-B = sum_l |y_l|, an O(Q) pass, and skips the row when
-(B (1 + _MARGIN))^2 lies below the floor; the margin covers the roundoff of
-the butterflies, which can lift a computed |f| slightly above the computed
-B. An r = 0 row's bound is its exact value |c_0 / N|^2. The outer rows
-come first because max_theta |f| grows with r (maximum modulus principle
-for sum_l c_l r^l e^{i l theta}), so they usually hold the maximum and the
-inner rows are skipped.
+|f|^2, and the stream then skips every row that cannot reach it. Before it
+transforms any row, the stream bounds every row's |f|^2 and then yields
+the rows in decreasing bound, so a step normally transforms only the row
+that holds the maximum. A row is the polynomial p(theta) = sum_{l<Q} y_l
+e^{i l theta}, y_l = w_l c_l. Its head H, the terms l < L with
+L = min(_SAMPLES, N), is sampled exactly at the L angles 2 pi u / L by one
+product of w_l c_l with an L-point inverse DFT matrix. At the maximum of
+|H|^2 the first derivative vanishes and the second is at most
+2 (D2 B_H + D1^2) in size, where B_H, D1 and D2 are sum |y_l|, sum l |y_l|
+and sum l^2 |y_l| over l < L, and the nearest sample lies within pi / L;
+the tail l >= L adds at most T = sum_{l>=L} |y_l| (discrete norms of
+polynomials: Ehlich and Zeller, 1964; Rakhmanov and Shekhtman, J. Approx.
+Theory 139, 2006). With B = B_H + T the bound is
+
+    U = min((B (1 + _MARGIN))^2,
+            (sqrt(max_u |H(2 pi u / L)|^2 + (pi / L)^2 (D2 B_H + D1^2))
+             + T + 2 L tiny)^2 (1 + _MARGIN) + _MARGIN B^2) + tiny,
+
+whose first term is the triangle inequality |p| <= B, so no row's bound
+is looser than that one. The margins cover the roundoff of the
+butterflies, which can lift a computed |f| slightly above the exact value.
+tiny, the smallest normal double, covers what a relative margin cannot:
+squares below it round to a fixed absolute step, and a pruned row sets the
+subnormal parts of y to zero (below), which moves a head sample by less
+than 2 L tiny. Without these terms a row of subnormal |f|^2, such as
+z^{N/2-1} on a large radius, can exceed its bound by a rounding step.
+B_H, D1, D2 and T come from |c| and per-grid natural-order weights
+(:func:`_bound_tables`). An r = 0 row's bound is its exact value
+|c_0 / N|^2. The rows are sorted by U, descending and stable; once a row's
+bound lies below the floor, so do all later ones, and each yields a
+:class:`SkippedRow` without being transformed.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -47,6 +66,8 @@ per row would be split over a second BLAS thread; that saves little on an
 idle machine, but OpenBLAS's worker spins between calls, so when another
 process holds the second core the transform runs at about half speed.
 With OpenBLAS a tile gives each entry the same bits as the whole product.
+The bound's sample products obey the same rule: tiles of 8 rows,
+8 x 64 x 64 = 32768.
 
 Weighted rows are input-pruned (Skinner, "Pruning the decimation
 in-time FFT algorithm", 1976). Once r^l underflows, a row's input is a
@@ -83,12 +104,16 @@ __all__ = [
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
 _TILE = 2048        # outputs per BLAS product of the leaf: M N K <= 32768
 _TILE_WIDTH = 64    # columns per BLAS product of a pruned leaf
+_SAMPLES = 64       # head terms sampled per row by the bound, at most N
+_SAMPLE_ROWS = _TILE * _LEAF // _SAMPLES ** 2  # rows per sample product
 _TINY = np.finfo(np.float64).tiny
-# Relative slack of a row's triangle bound. On every step of 10-term
-# decompositions at N = 64 ... 65536, a computed max |f| exceeded its
-# computed bound by at most 3.9e-16 relative; radix-2 roundoff is bounded
-# by a small multiple of log2(N) eps, about 4e-15 at N = 2^16, so this
-# margin leaves about six orders of magnitude to spare.
+# Relative slack of a row's bound. On every step of 10-term
+# decompositions of f1, f2 and random signals at N = 8 ... 65536, on 9 and
+# 33 radii, a computed max |f|^2 exceeded the bound without its margins by
+# at most 1.3e-15 relative (the triangle bound alone: 3.9e-16 in |f|);
+# radix-2 roundoff is bounded by a small multiple of log2(N) eps, about
+# 4e-15 at N = 2^16, so this margin leaves about six orders of magnitude
+# to spare.
 _MARGIN = 1e-9
 
 
@@ -319,6 +344,37 @@ def _radius_tables(radii, n):
     return tuple(rows)
 
 
+@lru_cache(maxsize=32)
+def _sample_matrix(n):
+    """(n, n) inverse DFT matrix, entry [l, u] = e^{+i 2 pi l u / n}, read-only."""
+    matrix = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    _read_only(matrix)
+    return matrix
+
+
+@lru_cache(maxsize=32)
+def _bound_tables(radii, n):
+    """Per-grid tables of the row bounds (module docstring): rows, weights, moments.
+
+    `rows` lists the nonzero-radius rows. `weights` holds their weights in
+    natural order, zero-padded to the longest prefix and to a multiple of
+    _SAMPLE_ROWS rows; `moments` stacks the first L columns of `weights`
+    times 1, l and l^2, so one product with |c| gives B_H, D1 and D2.
+    """
+    tables = _radius_tables(radii, n)
+    rows = [s for s, row in enumerate(tables) if row is not None]
+    head = min(_SAMPLES, n)
+    width = max([head] + [tables[s].gather.size for s in rows])
+    weights = np.zeros((-(-len(rows) // _SAMPLE_ROWS) * _SAMPLE_ROWS, width))
+    for k, s in enumerate(rows):
+        weights[k, tables[s].gather] = tables[s].weights
+    moments = np.concatenate([weights[:len(rows), :head] * np.arange(head) ** p
+                              for p in range(3)])
+    rows = np.array(rows, dtype=np.intp)
+    _read_only(rows, weights, moments)
+    return rows, weights, moments
+
+
 def _checked_radius(r):
     r = float(r)
     if not 0.0 <= r < 1.0:
@@ -350,12 +406,13 @@ class RowStream:
 
     `RowStream(radii, n).rows(c)` yields (s, row): row is an (N,) array
     holding row `s` of :func:`weighted_inverse_grid` for the same c and
-    radii, bit for bit. The rows come once each, from the last back to the
-    first (outermost first on increasing radii). A caller iterating with
-    `send(floor)` instead of `next` gets a :class:`SkippedRow` in place of
-    every later row whose |f|^2 provably lies below `floor`; see the module
-    docstring for the bound. Every row of every call is written into one
-    (N,) buffer, and every transform input and stage scratch into one more
+    radii, bit for bit. The rows come once each, in decreasing order of
+    their bound on |f|^2 (the module docstring), rows of equal bound in row
+    order; the first is usually the one that holds the field's maximum. A
+    caller iterating with `send(floor)` instead of `next` gets a
+    :class:`SkippedRow` carrying that bound in place of every later row
+    whose bound lies below `floor`. Every row of every call is written into
+    one (N,) buffer, and every transform input and stage scratch into one more
     buffer of at most N entries. So a caller that reduces each row as it
     comes, such as the selection step, runs field after field over the
     grid without holding the (M, N) field or allocating either buffer
@@ -369,6 +426,7 @@ class RowStream:
         if not radii:
             raise ValueError("need at least one radius")
         self._tables = _radius_tables(radii, n)
+        self._bounds = _bound_tables(radii, n)
         self._buffer = np.empty(n, dtype=np.complex128)
         size = max([n // 2] + [row.weights.size for row in self._tables if row is not None])
         self._work = np.empty(size, dtype=np.complex128)
@@ -381,34 +439,53 @@ class RowStream:
                              % (n, self._buffer.shape[0]))
         return self._weighted_rows(np.asarray(c, dtype=np.complex128))
 
-    def _weighted_rows(self, c):
-        """The one loop of the weighted inverse transform, last row first.
+    def _row_bounds(self, c):
+        """Every row's bound U on |f|^2 (see the module docstring), row order."""
+        n = c.shape[0]
+        head = min(_SAMPLES, n)
+        rows, weights, moments = self._bounds
+        m = rows.shape[0]
+        magnitude = np.abs(c[:weights.shape[1]])
+        y = weights[:, :head] * c[:head]
+        samples = np.matmul(y.reshape(-1, _SAMPLE_ROWS, head), _sample_matrix(head))
+        peak = np.abs(samples).max(axis=2).reshape(-1)[:m] ** 2
+        b_head, d1, d2 = (moments @ magnitude[:head]).reshape(3, m)
+        tail = weights[:m, head:] @ magnitude[head:]
+        total = b_head + tail
+        curvature = (np.pi / head) ** 2 * (d2 * b_head + d1 * d1)
+        sampled = ((np.sqrt(peak + curvature) + tail + 2 * head * _TINY) ** 2
+                   * (1.0 + _MARGIN) + _MARGIN * total ** 2)
+        value = c[0] / n
+        # r = 0 rows: the exact |f|^2, squared as the selection squares it
+        bounds = np.full(len(self._tables), value.real ** 2 + value.imag ** 2)
+        bounds[rows] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
+        return bounds
 
-        Each row yields (s, buffer), except that once the caller has sent a
-        floor, a row whose squared bound lies below it yields
-        :class:`SkippedRow` instead and is not transformed.
+    def _weighted_rows(self, c):
+        """The one loop of the weighted inverse transform, best bound first.
+
+        Each row yields (s, buffer) until the next row's bound lies below
+        the floor the caller sent; from there on every row yields
+        :class:`SkippedRow` and is not transformed.
         """
         n = c.shape[0]
+        bounds = self._row_bounds(c).tolist()
+        order = sorted(range(len(bounds)), key=lambda s: -bounds[s])  # stable
         floor = None
-        for s in range(len(self._tables) - 1, -1, -1):
+        for k, s in enumerate(order):
+            if floor is not None and bounds[s] < floor:
+                for s in order[k:]:
+                    yield SkippedRow(s, bounds[s])
+                return
             row = self._tables[s]
             if row is None:
-                value = c[0] / n
-                bound = value.real ** 2 + value.imag ** 2  # the row's exact |f|^2
+                self._buffer[...] = c[0] / n
             else:
                 y = self._work[:row.weights.size]
                 np.multiply(row.weights, c[row.gather], out=y)
                 if row.gather.shape[0] < n:
                     parts = y.view(np.float64)
                     parts[np.abs(parts) < _TINY] = 0.0
-                if floor is not None:
-                    bound = (np.abs(y).sum() * (1.0 + _MARGIN)) ** 2
-            if floor is not None and bound < floor:
-                floor = yield SkippedRow(s, float(bound))
-                continue
-            if row is None:
-                self._buffer[...] = value
-            else:
                 _transform(y, self._buffer, row.leaf, row.stages, self._work)
             floor = yield s, self._buffer
 

@@ -219,16 +219,17 @@ def _assert_same_pick(a, b):
 
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "random"])
-def test_streamed_selection_matches_full_field_every_step(kind):
-    # The standard grid streams one row at a time, outermost first, so picks
-    # cross rows and most steps skip some of them.
+def test_streamed_selection_matches_full_field_every_step(kind, best_first_order):
+    # The standard grid streams one row at a time, best bound first, so
+    # picks cross rows and most steps skip most of them.
     n = 16384
     grid = core.ParameterGrid.experiment_default(n)
     g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
          "random": lambda n: _random_hardy(n, seed=3)}[kind](n)
     stream = transform.RowStream(grid.radii, n)
-    layout = [(s, row.shape) for s, row in stream.rows(core.spectral_coefficients(g))]
-    assert layout == [(s, (n,)) for s in range(8, -1, -1)]
+    c = core.spectral_coefficients(g)
+    layout = [(s, row.shape) for s, row in stream.rows(c)]
+    assert layout == [(s, (n,)) for s in best_first_order(c, grid.radii)]
     d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
     remainder = g
@@ -382,12 +383,14 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
 
 
-@pytest.mark.parametrize("n", [1024, 4096, 65536])
+@pytest.mark.parametrize("n", [1024, 4096, 16384, 65536])
 def test_decompose_skips_most_rows_at_the_top_size(monkeypatch, n):
-    # Outermost first, the r = 0.8 row usually holds the maximum and the
-    # bounds rule out most inner rows. A 10-term dc-first decompose of f2
-    # has 9 fields of 8 nonzero radii; at most half of these 72 rows may be
-    # transformed, so a change that disables the skip fails.
+    # Best bound first, the first row a step transforms usually holds the
+    # maximum, and the bounds rule out the rest. A 10-term dc-first
+    # decompose takes its first term without a field and then evaluates 9
+    # fields of 8 nonzero radii, 72 rows in all: 9 transforms are one row a
+    # field. f2 needs 8, since one of its maxima lies on the r = 0 row,
+    # which is written without a transform.
     grid = core.ParameterGrid.experiment_default(n)
     forward_leaf = transform._plan(n).forward[0]
     transform_row = transform._transform
@@ -399,13 +402,15 @@ def test_decompose_skips_most_rows_at_the_top_size(monkeypatch, n):
             weighted_calls += 1
         return transform_row(x, out, leaf, stages, scratch)
 
-    g = signals.synth_f2(n)
     monkeypatch.setattr(transform, "_transform", counting)
-    core.inner_product_field(core.spectral_coefficients(g), grid)
-    assert weighted_calls == 8  # the full field transforms every nonzero radius
-    weighted_calls = 0
-    core.decompose(g, grid, max_terms=10, dc_first=True)
-    assert 0 < weighted_calls <= 36
+    for g, most in ((signals.synth_f2(n), 9), (signals.synth_f1(n), 10),
+                    (signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=7), 10)):
+        weighted_calls = 0
+        core.inner_product_field(core.spectral_coefficients(g), grid)
+        assert weighted_calls == 8  # the full field transforms every nonzero radius
+        weighted_calls = 0
+        core.decompose(g, grid, max_terms=10, dc_first=True)
+        assert 0 < weighted_calls <= most
 
 
 @pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastafd import core, oracle, transform
+from fastafd import core, oracle, signals, transform
 
 
 def _random_complex(n, seed):
@@ -253,43 +253,88 @@ def test_grid_zero_radius_row_between_others():
     (16384, tuple(k / 10 for k in range(9))),        # pruned and unpruned rows
     (65536, tuple(k / 40 for k in range(33))),
 ])
-def test_row_stream_matches_grid_rows(n, radii):
-    # One stream serves field after field: each field's (N,) rows come last
-    # row first, and stacked back in row order they are bit-identical to
-    # the (M, N) grid of the same coefficients.
+def test_row_stream_matches_grid_rows(n, radii, best_first_order):
+    # One stream serves field after field: each field's (N,) rows come in
+    # decreasing bound, and put back in row order they are bit-identical
+    # to the (M, N) grid of the same coefficients.
     stream = transform.RowStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
         expected = transform.weighted_inverse_grid(c, radii)
-        order, rows = [], []
+        order, rows = [], {}
         for s, row in stream.rows(c):
             assert row.shape == (n,)
             order.append(s)
-            rows.append(row.copy())
-        assert order == list(range(len(radii) - 1, -1, -1))
-        assert np.array_equal(np.stack(rows[::-1]), expected)
+            rows[s] = row.copy()
+        assert order == best_first_order(c, radii)
+        assert np.array_equal(np.stack([rows[s] for s in range(len(radii))]), expected)
 
 
-def test_row_stream_skips_rows_whose_bound_is_below_the_floor():
+def _row_maxima(c, radii):
+    # Each row's max |f|^2, squared the way the selection step squares it.
+    f = transform.weighted_inverse_grid(c, radii)
+    return (f.real ** 2 + f.imag ** 2).max(axis=1)
+
+
+def test_row_stream_skips_rows_whose_bound_is_below_the_floor(best_first_order):
     # Sent an infinite floor, the stream transforms its first row and then
-    # skips every other, each with a bound on its |f|^2; the r = 0 row's
-    # bound is its exact value. Sent no floor, it skips nothing.
+    # skips every other, in decreasing bound, each with a bound on its
+    # |f|^2; the r = 0 row's bound is its exact value. Sent no floor, it
+    # skips nothing.
     n = 16384
     radii = tuple(k / 10 for k in range(9))
     c = transform.dft_forward(_random_complex(n, seed=23))
-    top = (np.abs(transform.weighted_inverse_grid(c, radii)) ** 2).max(axis=1)
+    top = _row_maxima(c, radii)
+    order = best_first_order(c, radii)
     stream = transform.RowStream(radii, n)
     rows = stream.rows(c)
     s, row = next(rows)
-    assert (s, row.shape) == (8, (n,))
+    assert (s, row.shape) == (order[0], (n,))
     skipped = [rows.send(np.inf) for _ in range(8)]
     with pytest.raises(StopIteration):
         rows.send(np.inf)
-    assert [item.s for item in skipped] == list(range(7, -1, -1))
+    assert [item.s for item in skipped] == order[1:]
     for item in skipped:
         assert item.bound >= top[item.s]
-    assert skipped[-1].bound == top[0]
+    assert [item.bound for item in skipped if item.s == 0] == [top[0]]
     assert all(not isinstance(item, transform.SkippedRow) for item in stream.rows(c))
+
+
+def _bound_test_coefficients(kind, n, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    if kind == "top mode":  # z^{N/2 - 1}, all of it in the tail from N = 256 on
+        c = np.zeros(n, dtype=np.complex128)
+        c[n // 2 - 1] = n * complex(*rng.standard_normal(2))
+        return c
+    if kind == "f2-like":  # the square wave, turned by a random lattice shift
+        return transform.dft_forward(np.roll(signals.synth_f2(n), rng.integers(n)))
+    c = transform.dft_forward(_random_complex(n, seed))
+    return c.real + 0j if kind == "real coefficient" else c
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(3, 12),
+       radii=st.sampled_from([core.radius_range(0.0, 0.1, 0.8),
+                              core.radius_range(0.0, 0.05, 0.95), (0.2, 0.5, 0.7, 0.85)]),
+       kind=st.sampled_from(["random", "real coefficient", "f2-like", "top mode"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_bounds_hold_on_every_row(k, radii, kind, seed):
+    # Sent an infinite floor after its first row, the stream skips every
+    # other row; each skipped bound must reach the row's computed maximum
+    # |f|^2, wherever on the lattice that maximum lies.
+    n = 2 ** k
+    c = _bound_test_coefficients(kind, n, seed)
+    top = _row_maxima(c, radii)
+    rows = transform.RowStream(radii, n).rows(c)
+    s, _ = next(rows)
+    skipped = []
+    with pytest.raises(StopIteration):
+        while True:
+            skipped.append(rows.send(np.inf))
+    assert sorted([s] + [item.s for item in skipped]) == list(range(len(radii)))
+    for item in skipped:
+        assert isinstance(item, transform.SkippedRow)
+        assert item.bound >= top[item.s]
 
 
 def test_row_stream_domain_errors():
