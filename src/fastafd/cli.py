@@ -13,7 +13,10 @@ precision exactly. A non-finite float is an error, never a bare `inf` or
 
 The decompose default pins the first atom at a = 0 (the mean term), so the
 error trace starts at 1.0 for zero-mean inputs and adaptive selection begins
-at step 2; pass --no-dc-first for a fully greedy first step.
+at step 2; pass --no-dc-first for a fully greedy first step. The trace is
+the residual-energy column over the initial energy: on the sample lattice
+G - S_n = B_n G_{n+1} with |B_n| = 1, so that ratio is the relative error of
+each partial sum.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from . import bench, core, signals
 __all__ = ["run_command", "main"]
 
 SCHEMA_VERSION = 1
+
+# Largest allowed |relative_errors[k] - residual_energy_k / E_0| in a document.
+ERRORS_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +114,9 @@ def decomposition_from_document(doc):
     are due (finite, and non-negative in the lists), poles inside the disc,
     angle indices on the sample lattice, stored pole values equal to
     a_radius e^{2 pi i j / N} (to 1e-12), radii on the grid (or the dc-first
-    pin a = 0 at step 1), and a non-increasing residual-energy column.
+    pin a = 0 at step 1), a non-increasing residual-energy column, and
+    relative errors equal to residual_energy / E_0 (to ERRORS_TOL), E_0 the
+    initial energy |c_1|^2 + residual_energy_1.
     """
     if not isinstance(doc, dict):
         raise ValueError("document is not a JSON object")
@@ -161,8 +169,14 @@ def decomposition_from_document(doc):
         previous = residual
         steps.append(core.DecompositionStep(point, coeff, residual))
     # Initial energy is not persisted; the prefix identity pins it whenever
-    # at least one step exists, and reconstruction does not consume it.
+    # at least one step exists.
     initial = abs(steps[0].coefficient) ** 2 + steps[0].residual_energy if steps else 0.0
+    if steps and not initial > 0.0:
+        raise ValueError("step 1 leaves no initial energy")
+    for i, (step, error) in enumerate(zip(steps, errors)):
+        if not abs(error - step.residual_energy / initial) <= ERRORS_TOL:
+            raise ValueError("relative_errors entry %d is not residual_energy over "
+                             "the initial energy" % (i + 1,))
     return core.Decomposition(tuple(steps), grid, n, initial, engine), errors
 
 
@@ -212,7 +226,7 @@ def _cmd_decompose(args):
     grid = core.ParameterGrid(_parse_radii(args.radii), g.shape[0])
     d = core.decompose(g, grid, max_terms=args.terms, threshold=args.threshold,
                        engine=args.engine, dc_first=args.dc_first)
-    errors = core.error_trace(d, g)
+    errors = [step.residual_energy / d.initial_energy for step in d.steps]
     text = dumps_document(document_from_decomposition(d, errors, args.dc_first))
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

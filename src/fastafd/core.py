@@ -21,13 +21,21 @@ weighted inverse transform per radius (O(M N log N) per step), "direct"
 the plain quadrature sums (O(M N^2), see the oracle module). The fft path
 streams the field to the selection one radius row at a time, in decreasing
 order of a per-row bound on |f|^2, so a step never holds the whole M x N
-field. The selection takes each row's |f|^2 and first argmax as the row
-arrives and sends the stream its running maximum; the stream skips every
-row whose bound lies below it, so a step transforms one row, typically.
-Both engines see identical grids and the same deterministic tie-break,
-which does not depend on the order rows arrive in or on which are
-skipped; their poles differ only where field maxima tie mathematically and
-roundoff breaks the tie differently.
+field. The selection reduces each row's |f|^2 as the row arrives and sends
+the stream its running maximum, less a relative tie band TIE_BAND; the
+stream skips every row whose bound lies below that, so a step transforms
+one row, typically. Every cell within the band of the maximum counts as
+tied and the smallest (radius index, angle index) among them wins, so both
+engines select the same poles even where maxima tie mathematically (mirror
+pairs of real-coefficient or odd signals) and roundoff splits the tie
+differently, whatever order rows arrive in and whichever are skipped.
+
+A decomposition takes one forward DFT of the remainder and carries the low
+band of its coefficients, the only ones a field reads, from step to step
+(:class:`_Spectrum`); it takes another DFT only when the band runs out, and
+at every step when no band fits (N <= 2048 on the standard grid). The
+time-domain remainder is reduced in place in one workspace, and its
+measured energy is each step's residual, independent of the band.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ __all__ = [
 RADIUS_WARN_LIMIT = 0.95
 
 ENGINES = ("fft", "direct")
+
+# Relative width of the selection's tie band (see maximal_selection).
+TIE_BAND = 1e-12
 
 
 def radius_range(start, step, stop):
@@ -186,10 +197,20 @@ class Decomposition:
         return len(self.steps)
 
 
+def _energy(g):
+    """(1/N) sum |G[m]|^2 of a C-contiguous complex array, unvalidated.
+
+    One pass over the interleaved real and imaginary parts, with no
+    temporary and no BLAS call (OpenBLAS would thread a long dot product;
+    see the transform module).
+    """
+    parts = g.view(np.float64)
+    return float(np.einsum("i,i->", parts, parts)) / g.shape[0]
+
+
 def discrete_energy(g):
     """Mean squared modulus (1/N) sum |G[m]|^2."""
-    g = _as_signal(g)
-    return float(np.mean(g.real ** 2 + g.imag ** 2))
+    return _energy(np.ascontiguousarray(_as_signal(g)))
 
 
 def analytic_projection(x):
@@ -256,22 +277,25 @@ def inner_product_field(c, grid):
 
 
 def maximal_selection(field_values, grid):
-    """Grid point with the largest |<G, e_a>|^2 and its field value.
+    """Grid point with the largest |<G, e_a>|^2, within a tie band, and its field value.
 
     `field_values` is the (M, N) field, or an iterator of (s, row) items,
     row an (N,) array, that cover the field's rows once each in any order,
     as :meth:`transform.RowStream.rows` yields them; an array is walked row
-    by row. Each row's |f|^2 and first argmax are taken as the row arrives,
-    so no more than one row is held at a time. An iterator with a `send`
-    method, such as a row stream, is sent the running maximum of |f|^2
+    by row. Each row's |f|^2 is reduced as the row arrives, so no more than
+    one row is held at a time. An iterator with a `send` method, such as a
+    row stream, is sent (1 - TIE_BAND) times the running maximum of |f|^2
     after each row, and may answer with a :class:`transform.SkippedRow` in
     place of a row that cannot reach it; the pick stands only if every such
-    bound lies strictly below the final maximum.
+    bound lies strictly below (1 - TIE_BAND) times the final maximum.
 
-    The larger |f|^2 wins, then the smaller radius index, then the smaller
-    angle index (exact floating-point comparison, no epsilon band). That
-    is the row-major argmax of the whole field, in whatever order rows are
-    evaluated or skipped.
+    Every cell with |f|^2 >= (1 - TIE_BAND) max |f|^2 counts as tied, and
+    the pick is the one with the smallest radius index, then the smallest
+    angle index. So maxima that tie mathematically, which roundoff splits by
+    far less than TIE_BAND, give the same pick in both engines, in whatever
+    order rows are evaluated or skipped. Per row the candidates are the
+    cells within the band of the row's own maximum; the final band is never
+    lower than a row's, so filtering them by it at the end is exact.
     """
     m, n = len(grid.radii), grid.angular_count
     if isinstance(field_values, Iterator):
@@ -282,12 +306,14 @@ def maximal_selection(field_values, grid):
             raise ValueError("field shape %r does not match grid %r" % (f.shape, (m, n)))
         rows = enumerate(f)
     advance = getattr(rows, "send", None) or (lambda floor: next(rows))
+    keep = 1.0 - TIE_BAND
     covered = [False] * m
-    best = None  # (|f|^2, s, j, value)
+    peak = None  # the largest |f|^2 seen
+    tied = []  # (s, angle indices, |f|^2, f): each row's cells in its own band
     skipped = -np.inf  # largest bound of a skipped row
     while True:
         try:
-            item = advance(None if best is None else best[0])
+            item = advance(None if peak is None else keep * peak)
         except StopIteration:
             break
         s, row = item
@@ -303,31 +329,145 @@ def maximal_selection(field_values, grid):
                              % (row.shape, (m, n)))
         magnitude = row.real ** 2
         magnitude += row.imag ** 2
-        j = int(np.argmax(magnitude))
-        value = magnitude[j]
-        if best is None or (-value, s, j) < (-best[0], best[1], best[2]):
-            best = (value, s, j, complex(row[j]))
+        top = magnitude.max()
+        j = (magnitude >= keep * top).nonzero()[0]
+        tied.append((s, j, magnitude[j], row[j]))
+        peak = top if peak is None else max(peak, top)
     if not all(covered):
         raise ValueError("rows cover %d of the field's %d rows" % (sum(covered), m))
-    if best is None or not skipped < best[0]:
-        raise ValueError("rows were skipped with a bound %g not below the maximum %g"
-                         % (skipped, np.nan if best is None else best[0]))
-    _, s, j, value = best
-    return grid.point(s, j), value
+    if peak is None or not skipped < keep * peak:
+        raise ValueError("rows were skipped with a bound %g not below the band of "
+                         "the maximum %g" % (skipped, np.nan if peak is None else peak))
+    for s, j, values, cells in sorted(tied, key=lambda cell: cell[0]):
+        hit = (values >= keep * peak).nonzero()[0]
+        if hit.size:
+            return grid.point(s, int(j[hit[0]])), complex(cells[hit[0]])
+
+
+def _reduce(g, a, c, scratch):
+    """Reduce the remainder `g` in place by the pole `a` and coefficient `c`.
+
+    The kernel's denominator cancels against the Blaschke factor's
+    numerator, (G - c e_a)(1 - conj(a) z)/(z - a) =
+    (G (1 - conj(a) z) - c sqrt(1 - |a|^2)) / (z - a), so the step needs one
+    scratch buffer of g's length and no kernel samples.
+    """
+    z = _circle(g.shape[0])
+    np.multiply(z, -np.conj(a), out=scratch)
+    scratch += 1.0
+    g *= scratch
+    g -= c * np.sqrt(1.0 - abs(a) ** 2)
+    np.subtract(z, a, out=scratch)
+    g /= scratch
+    return g
 
 
 def remainder_update(g, a, c):
     """One reduction step: strip the atom c e_a, divide by its Blaschke factor.
 
     out[m] = (G[m] - c e_a(z_m)) * (1 - conj(a) z_m) / (z_m - a). Well defined
-    on the sample lattice since |z_m - a| >= 1 - |a| > 0.
+    on the sample lattice since |z_m - a| >= 1 - |a| > 0. The same
+    arithmetic as each step of :func:`decompose`, bit for bit.
     """
-    g = _as_signal(g)
-    value = _pole_value(a)
-    c = complex(c)
-    z = _circle(g.shape[0])
-    stripped = g - c * kernel_samples(value, g.shape[0])
-    return stripped * (1.0 - np.conj(value) * z) / (z - value)
+    out = _as_signal(g).copy()
+    return _reduce(out, _pole_value(a), complex(c), np.empty_like(out))
+
+
+class _Spectrum:
+    """The remainder's DFT coefficients, carried from step to step as a band.
+
+    A field reads the coefficients c_l only for l < W, W the largest count of
+    nonzero weights over the grid's rows, since every weight past it is an
+    exact zero. With G' = (G - c e_a)(1 - conj(a) z)/(z - a) and C the DFT
+    of G, the DFT of G' follows from C without a transform:
+
+        S = C - c E,  E_l = N sqrt(1 - |a|^2) conj(a)^l / (1 - conj(a)^N);
+        T_l = S_l - conj(a) S_{l-1},  T_0 = S_0 - conj(a) S_{N-1};
+        O_j = sum_{k<d} a^k T_{j+1+k},  O_{N-1} = sum_{k<d} a^k T_k,
+
+    the last the cyclic solution of O_{j-1} - a O_j = T_j cut after d terms,
+    d the first power of two with |a|^d < 2^-64, below the roundoff of the
+    coefficients; E_l is cut at l < d as well. The sums are a doubling scan
+    (Kogge and Stone, IEEE Trans. Comput. C-22, 1973). So a band C[0:B]
+    plus C[N-1] gives the next step's band O[0:B-d] plus O[N-1]: each step
+    loses at most D entries, D the depth of the grid's largest radius.
+
+    When the band is narrower than W, the field's coefficients come from one
+    DFT of the time-domain remainder instead. Its prefix of width
+    W + K D, K the number of fields that may follow, is kept as the band,
+    with K cut to the most steps that fit below N; when not even one fits,
+    as at N <= 2048 on the standard grid, where W = N, nothing is kept and
+    every step takes a DFT. The band is zero-padded into one length-N
+    buffer: the weights past W are exact zeros, so the padding changes no
+    field or bound.
+    """
+
+    def __init__(self, radii, n):
+        self._n = n
+        self._width = max([1] + [int(np.count_nonzero(row.weights))
+                                 for row in transform._radius_tables(radii, n)
+                                 if row is not None])
+        self._depth = _scan_depth(max(radii))
+        self._coeffs = None  # length-N buffer: the band, then zeros; None: no band
+        self._size = 0       # band width B
+        self._last = 0j      # C[N-1]
+
+    def coefficients(self, remainder, later):
+        """Coefficients of `remainder` for this step's field, `later` more to come."""
+        if self._coeffs is not None:
+            return self._coeffs
+        c = transform.dft_forward(remainder)
+        steps = min(later, (self._n - 1 - self._width) // self._depth)
+        self._coeffs = None
+        if steps > 0:
+            self._size = self._width + steps * self._depth
+            self._last = complex(c[-1])
+            c[self._size:] = 0.0
+            self._coeffs = c
+        return c
+
+    def update(self, a, c):
+        """Carry the band through the step with pole a and coefficient c."""
+        if self._coeffs is None:
+            return
+        b, d = self._size, _scan_depth(abs(a))
+        if b - d < self._width:
+            self._coeffs = None
+            return
+        n = self._n
+        band = self._coeffs[:b]
+        conj_a = np.conj(a)
+        scale = c * n * np.sqrt(1.0 - abs(a) ** 2) / (1.0 - conj_a ** n)
+        powers = np.full(d, conj_a)
+        powers[0] = 1.0
+        np.cumprod(powers, out=powers)
+        band[:d] -= scale * powers
+        last = self._last - scale * conj_a ** (n - 1)
+        t = np.empty(b, dtype=np.complex128)
+        np.multiply(band[:-1], conj_a, out=t[1:])
+        t[0] = conj_a * last
+        np.subtract(band, t, out=t)
+        # Doubling scan: after the level with stride h, t[i] holds
+        # sum_{k<2h} a^k T_{i+k}, valid for the first `valid` entries.
+        valid, h, step = b, 1, a
+        while h < d:
+            np.multiply(t[h:valid], step, out=band[:valid - h])
+            t[:valid - h] += band[:valid - h]
+            valid -= h
+            h *= 2
+            step *= step
+        self._last = complex(t[0])
+        band[:valid - 1] = t[1:valid]
+        band[valid - 1:] = 0.0
+        self._size = valid - 1
+
+
+def _scan_depth(r):
+    """The first power of two d with r^d < 2^-64."""
+    d = 1
+    while r ** d >= 2.0 ** -64:
+        d *= 2
+    return d
 
 
 def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
@@ -351,9 +491,9 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
         Relative-energy stopping level in (0, 1].
     engine : {"fft", "direct"}
         Field evaluator: one weighted inverse transform per radius, or the
-        plain quadrature sums. Both select the same poles, except where field
-        maxima tie mathematically and roundoff breaks the tie differently
-        in each engine.
+        plain quadrature sums. Both select the same poles: maxima that tie
+        mathematically, which roundoff splits differently in each engine,
+        fall in the selection's tie band (see :func:`maximal_selection`).
     dc_first : bool
         Pin the first pole at a = 0, so step 1 removes the signal mean and
         adaptive selection starts at step 2. Off by default; the CLI turns
@@ -388,22 +528,26 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
 
     from . import oracle  # runtime import: oracle uses this module's types
 
-    initial = discrete_energy(g)
+    # The remainder is reduced in place in one workspace, and the fft
+    # engine's stream and band live for the whole call, so a step allocates
+    # no signal-length buffer (but a DFT's, where no band fits) that the
+    # allocator could hand back to the system and fault in again.
+    remainder = g.copy()
+    initial = _energy(remainder)
     if not np.isfinite(initial):
         raise ValueError("signal energy overflows a double")
     if initial == 0.0:
         if np.any(g):
             raise ValueError("signal energy underflows to 0 but samples are nonzero")
-        return Decomposition((), grid, g.shape[0], 0.0, engine, remainder=g.copy())
+        return Decomposition((), grid, g.shape[0], 0.0, engine, remainder=remainder)
     if initial < np.finfo(np.float64).tiny:
         raise ValueError("signal energy %g underflows to a subnormal double; "
                          "scale the signal up" % initial)
 
-    # One stream serves every step. Its buffers are allocated once, not per
-    # step, so the allocator cannot hand them back to the system between
-    # steps and fault their pages in again.
-    stream = transform.RowStream(grid.radii, g.shape[0]) if engine == "fft" else None
-    remainder = g
+    if engine == "fft":
+        stream = transform.RowStream(grid.radii, g.shape[0])
+        spectrum = _Spectrum(grid.radii, g.shape[0])
+    scratch = np.empty_like(remainder)
     steps = []
     for k in range(max_terms):
         if k == 0 and dc_first:
@@ -411,17 +555,19 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
             coeff = complex(np.mean(remainder))
         else:
             if engine == "fft":
-                f = stream.rows(spectral_coefficients(remainder))
+                f = stream.rows(spectrum.coefficients(remainder, max_terms - k - 1))
             else:
                 f = oracle.field_direct(remainder, grid)
             point, coeff = maximal_selection(f, grid)
-        remainder = remainder_update(remainder, point, coeff)
-        residual = discrete_energy(remainder)
+        _reduce(remainder, point.value, coeff, scratch)
+        residual = _energy(remainder)
         steps.append(DecompositionStep(point, coeff, residual))
         if threshold is not None and residual <= threshold * initial:
             break
         if residual == 0.0:
             break
+        if engine == "fft" and k + 1 < max_terms:
+            spectrum.update(point.value, coeff)
     return Decomposition(tuple(steps), grid, g.shape[0], initial, engine,
                          remainder=remainder)
 

@@ -56,6 +56,22 @@ def test_decompose_output_is_byte_deterministic_at_the_top_size(tmp_path):
     _assert_decompose_is_byte_deterministic(tmp_path, 65536)
 
 
+def test_decompose_errors_are_the_energy_column(tmp_path, monkeypatch):
+    # The error column is residual_energy / E_0, computed without the
+    # partial sums; it agrees with the measured error of each partial sum.
+    sig = _synth(tmp_path, samples=1024)
+    measured = core.error_trace
+    monkeypatch.setattr(core, "error_trace", None)
+    doc = json.loads(_decompose(tmp_path, sig).read_text())
+    g = signals.load_signal_csv(sig)
+    grid = core.ParameterGrid.experiment_default(1024)
+    d = core.decompose(g, grid, max_terms=10, dc_first=True)
+    assert doc["relative_errors"] == [s.residual_energy / d.initial_energy
+                                      for s in d.steps]
+    assert np.max(np.abs(np.array(doc["relative_errors"])
+                         - measured(d, g))) < 1e-15
+
+
 def test_engines_select_identical_poles(tmp_path):
     sig = _synth(tmp_path)
     fft_doc = json.loads(_decompose(tmp_path, sig, name="fft.json",
@@ -197,6 +213,11 @@ def _pole_fields(radius, j, n):
     lambda doc: doc["grid"]["radii"].__setitem__(0, False),
     lambda doc: doc["grid"]["radii"].__setitem__(2, repr(doc["grid"]["radii"][2])),
     lambda doc: doc["steps"][1].update(coeff_re=10**400),
+    # An error that is not residual_energy / E_0.
+    lambda doc: doc["relative_errors"].__setitem__(3, doc["relative_errors"][3] * 1.01),
+    # One step that leaves no initial energy to divide by.
+    lambda doc: doc.update(steps=[dict(doc["steps"][0], coeff_re=0.0, coeff_im=0.0,
+                                       residual_energy=0.0)], relative_errors=[1.0]),
 ])
 def test_corrupt_documents_are_rejected(tmp_path, capsys, mutate):
     doc_path = _decompose(tmp_path, _synth(tmp_path))

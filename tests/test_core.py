@@ -7,6 +7,7 @@ which for real a = r collapses to (1 + r^N)/(1 - r^N). Tests that rely on
 exact unit norms therefore use a = 0, where the kernel is the constant 1.
 """
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,40 @@ def _assert_same_pick(a, b):
                           np.array([b[1]]).view(np.uint64))
 
 
+@contextlib.contextmanager
+def _spied_coefficients():
+    """Collect a copy of the coefficients of every RowStream.rows call.
+
+    decompose hands the stream the coefficients its fields are built from:
+    a forward DFT of the remainder, or the spectral band it carries from
+    step to step, zero-padded.
+    """
+    seen = []
+    rows = transform.RowStream.rows
+
+    def spy(self, c):
+        seen.append(np.array(c))
+        return rows(self, c)
+
+    transform.RowStream.rows = spy
+    try:
+        yield seen
+    finally:
+        transform.RowStream.rows = rows
+
+
+def _assert_replayed_picks(d, seen, grid, dc_first):
+    # Each field's coefficients, replayed through a fresh stream and through
+    # the full field, give the step's point and coefficient, bit for bit.
+    adaptive = d.steps[1:] if dc_first else d.steps
+    assert len(seen) == len(adaptive)
+    stream = transform.RowStream(grid.radii, grid.angular_count)
+    for c, step in zip(seen, adaptive):
+        streamed = core.maximal_selection(stream.rows(c), grid)
+        _assert_same_pick(streamed, _full_pick(c, grid))
+        _assert_same_pick(streamed, (step.point, step.coefficient))
+
+
 @pytest.mark.parametrize("kind", ["f1", "f2", "random"])
 def test_streamed_selection_matches_full_field_every_step(kind, best_first_order):
     # The standard grid streams one row at a time, best bound first, so
@@ -230,21 +265,21 @@ def test_streamed_selection_matches_full_field_every_step(kind, best_first_order
     c = core.spectral_coefficients(g)
     layout = [(s, row.shape) for s, row in stream.rows(c)]
     assert layout == [(s, (n,)) for s in best_first_order(c, grid.radii)]
-    d = core.decompose(g, grid, max_terms=10)
+    with _spied_coefficients() as seen:
+        d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
-    remainder = g
-    for step in d.steps:
-        c = core.spectral_coefficients(remainder)
-        streamed = core.maximal_selection(stream.rows(c), grid)
-        _assert_same_pick(streamed, _full_pick(c, grid))
-        _assert_same_pick(streamed, (step.point, step.coefficient))
-        remainder = core.remainder_update(remainder, step.point, step.coefficient)
+    # The first field reads the DFT of the signal itself, zero-padded past
+    # the band it starts.
+    band = np.flatnonzero(seen[0])[-1] + 1
+    assert band < n and np.array_equal(seen[0][:band], c[:band])
+    _assert_replayed_picks(d, seen, grid, dc_first=False)
 
 
 def test_streamed_selection_keeps_the_exact_tie_of_f2():
     # synth_f2 is odd, G(-z) = -G(z), so after the dc step and one more,
-    # |f| at (0.8, 0) and (0.8, N/2) tie bit for bit; the row-major
-    # tie-break takes angle 0, the pole sequence the README tables list.
+    # |f| at (0.8, 0) and (0.8, N/2) tie mathematically: they are the only
+    # cells in the tie band, and the tie-break takes angle 0, the pole
+    # sequence the README tables list.
     n = 1024
     grid = core.ParameterGrid.experiment_default(n)
     g = signals.synth_f2(n)
@@ -253,8 +288,10 @@ def test_streamed_selection_keeps_the_exact_tie_of_f2():
     for step in d.steps[:2]:
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
     c = core.spectral_coefficients(remainder)
-    magnitude = np.abs(core.inner_product_field(c, grid)) ** 2
-    assert magnitude[8, 0] == magnitude[8, n // 2] == magnitude.max()
+    field = core.inner_product_field(c, grid)
+    magnitude = field.real ** 2 + field.imag ** 2
+    band = np.argwhere(magnitude >= (1.0 - core.TIE_BAND) * magnitude.max())
+    assert band.tolist() == [[8, 0], [8, n // 2]]
     streamed = core.maximal_selection(transform.RowStream(grid.radii, n).rows(c), grid)
     _assert_same_pick(streamed, _full_pick(c, grid))
     assert (streamed[0].radius, streamed[0].angle_index) == (0.8, 0)
@@ -308,6 +345,23 @@ def test_maximal_selection_accepts_rows_skipped_below_the_maximum():
     assert (point.radius, point.angle_index, coeff) == (0.4, 2, 2.0)
 
 
+def test_maximal_selection_sends_the_floor_of_the_tie_band():
+    # A row whose bound reaches the band of the maximum may hold a tied cell,
+    # so a stream is sent (1 - TIE_BAND) times the running maximum.
+    grid = _grid(8, radii=(0.0, 0.2, 0.4))
+    rows = np.zeros((3, 8), dtype=np.complex128)
+    rows[2, 1] = 2.0  # |f|^2 = 4
+    floors = []
+
+    def stream():
+        for s in (2, 1, 0):
+            floors.append((yield s, rows[s]))
+
+    point, coeff = core.maximal_selection(stream(), grid)
+    assert (point.radius, point.angle_index, coeff) == (0.4, 1, 2.0)
+    assert floors == [(1.0 - core.TIE_BAND) * 4.0] * 3
+
+
 @pytest.mark.parametrize("items", [
     [],                                                # no rows
     [(0, (8,)), (1, (8,))],                            # too few rows
@@ -319,8 +373,10 @@ def test_maximal_selection_accepts_rows_skipped_below_the_maximum():
     [(0, (2, 8)), (2, (1, 8))],                        # a (2, N) row, once a block
     [(2, (8,)), (1, (8,)), transform.SkippedRow(0, 1.0)],  # a bound not below
     [transform.SkippedRow(s, 0.0) for s in (2, 1, 0)],  # every row skipped
+    [(2, (8,)), (1, (8,)), transform.SkippedRow(0, 1.0 - 1e-13)],  # a bound in the band
 ], ids=["no-rows", "too-few-rows", "row-outside", "row-below-0", "repeated-row", "wrong-length",
-        "one-by-n-row", "two-by-n-row", "bound-not-below", "every-row-skipped"])
+        "one-by-n-row", "two-by-n-row", "bound-not-below", "every-row-skipped",
+        "bound-in-the-band"])
 def test_maximal_selection_rejects_bad_row_stream(items):
     # Rows of ones, so |f|^2 = 1 on every row that is evaluated.
     stream = iter([item if isinstance(item, transform.SkippedRow)
@@ -362,8 +418,9 @@ def _exactness_grid(kind, n):
 @given(kind=st.sampled_from(["random", "real coefficient", "f1", "f2"]),
        seed=st.integers(0, 2 ** 32 - 1), dc_first=st.booleans())
 def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
-    # The stream skips the rows whose bound lies below the running maximum;
-    # at every step its pick must be the full field's, bit for bit.
+    # The stream skips the rows whose bound lies below the band of the
+    # running maximum; at every step its pick from the coefficients
+    # decompose used must be the full field's, bit for bit.
     grid = _exactness_grid(grid_kind, n)
     if kind in ("f1", "f2"):
         g = {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
@@ -371,16 +428,79 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
         g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=seed)
         if kind == "real coefficient":
             g = _real_coefficient(g)
-    d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
-    stream = transform.RowStream(grid.radii, n)
+    with _spied_coefficients() as seen:
+        d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
+    _assert_replayed_picks(d, seen, grid, dc_first)
+    if n <= 1024:
+        # Every weight of the outermost row is nonzero, so no band fits:
+        # each field reads the DFT of the remainder, bit for bit.
+        fields = iter(seen)
+        remainder = g
+        for k, step in enumerate(d.steps):
+            if k > 0 or not dc_first:
+                assert np.array_equal(next(fields), core.spectral_coefficients(remainder))
+            remainder = core.remainder_update(remainder, step.point, step.coefficient)
+
+
+# Largest distance allowed between the spectral band a decomposition carries
+# and the forward DFT of its time-domain remainder, relative to the input's
+# largest DFT coefficient. Both carry the roundoff of every step at the
+# input's scale, so a remainder that has fallen to that roundoff (f1 after
+# about 60 steps) agrees only at that scale.
+BAND_TOL = 1e-12
+
+
+@pytest.mark.parametrize("terms", [10, 100])
+@pytest.mark.parametrize("grid_kind", ["standard", "near the circle"])
+@settings(max_examples=3, deadline=None)
+@given(n=st.sampled_from([8192, 16384, 32768, 65536]),
+       kind=st.sampled_from(["random", "real coefficient", "f1", "f2"]),
+       seed=st.integers(0, 2 ** 32 - 1), dc_first=st.booleans())
+def test_spectral_band_tracks_the_remainder(terms, grid_kind, n, kind, seed, dc_first):
+    # Where a field reads them (l below the grid's nonzero weight count),
+    # the coefficients decompose passes to the stream stay within BAND_TOL
+    # of the DFT of the remainder it carries in the time domain.
+    grid = _exactness_grid(grid_kind, n)
+    if kind in ("f1", "f2"):
+        g = {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
+    else:
+        g = signals.synth_random_hardy(n, degree=256, seed=seed)
+        if kind == "real coefficient":
+            g = _real_coefficient(g)
+    width = max(np.count_nonzero(row.weights)
+                for row in transform._radius_tables(grid.radii, n) if row is not None)
+    with _spied_coefficients() as seen:
+        d = core.decompose(g, grid, max_terms=terms, dc_first=dc_first)
+    scale = np.max(np.abs(transform.dft_forward(g)))
+    fields = iter(seen)
     remainder = g
     for k, step in enumerate(d.steps):
-        c = core.spectral_coefficients(remainder)
-        streamed = core.maximal_selection(stream.rows(c), grid)
-        _assert_same_pick(streamed, _full_pick(c, grid))
         if k > 0 or not dc_first:
-            _assert_same_pick(streamed, (step.point, step.coefficient))
+            exact = transform.dft_forward(remainder)
+            c = next(fields)
+            assert np.max(np.abs(c[:width] - exact[:width])) <= BAND_TOL * scale
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
+
+
+@pytest.mark.parametrize("n, transforms", [(1024, 9), (65536, 1)])
+def test_decompose_takes_one_forward_dft_at_the_top_size(monkeypatch, n, transforms):
+    # A 10-term dc-first decompose evaluates 9 fields. At N = 65536 one DFT
+    # of the remainder after the dc step carries a band for all of them; at
+    # N = 1024 every weight of the r = 0.8 row is nonzero, so no band fits
+    # and each field takes its own DFT.
+    forward = transform.dft_forward
+    calls = 0
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return forward(x)
+
+    monkeypatch.setattr(transform, "dft_forward", counting)
+    grid = core.ParameterGrid.experiment_default(n)
+    core.decompose(signals.synth_random_hardy(n, degree=256, seed=7), grid,
+                   max_terms=10, dc_first=True)
+    assert calls == transforms
 
 
 @pytest.mark.parametrize("n", [1024, 4096, 16384, 65536])
@@ -539,6 +659,34 @@ def test_decompose_engines_agree(seed):
         assert s_f.point.angle_index == s_d.point.angle_index
         assert abs(s_f.coefficient - s_d.coefficient) < 1e-9 * abs(s_d.coefficient)
         assert abs(s_f.residual_energy - s_d.residual_energy) < 1e-9 * d_fft.initial_energy
+
+
+def _odd(g):
+    # G(z) - G(-z), halved: only odd powers remain, so |f| is symmetric
+    # under a <-> -a, that is j <-> j + N/2.
+    return (g - np.roll(g, -g.shape[0] // 2)) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(6, 10), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["real coefficient", "odd", "odd real coefficient"]),
+       dc_first=st.booleans())
+def test_engines_select_identical_poles_on_tied_maxima(k, seed, kind, dc_first):
+    # Real Taylor coefficients (samples with G(conj z) = conj G(z)) tie the
+    # field in mirror pairs j <-> N - j, odd signals in pairs j <-> j + N/2.
+    # Roundoff splits such a tie differently in each engine; the tie band
+    # makes both pick the smaller (s, j).
+    n = 2 ** k
+    grid = core.ParameterGrid.experiment_default(n)
+    g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=seed)
+    if kind != "real coefficient":
+        g = _odd(g)
+    if kind != "odd":
+        g = _real_coefficient(g)
+    poles = [[(s.point.radius, s.point.angle_index) for s in
+              core.decompose(g, grid, max_terms=10, engine=engine, dc_first=dc_first).steps]
+             for engine in core.ENGINES]
+    assert poles[0] == poles[1]
 
 
 def test_decompose_residuals_non_increasing():
