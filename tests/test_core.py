@@ -411,6 +411,13 @@ def _exactness_grid(kind, n):
         return core.ParameterGrid(core.radius_range(0.0, 0.05, 0.95), n)
 
 
+def _exactness_signal(kind, n, seed):
+    if kind in ("f1", "f2"):
+        return {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
+    g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=seed)
+    return _real_coefficient(g) if kind == "real coefficient" else g
+
+
 @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
 @pytest.mark.parametrize("grid_kind", ["standard", "zero between", "33 radii",
                                        "near the circle"])
@@ -422,12 +429,7 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
     # running maximum; at every step its pick from the coefficients
     # decompose used must be the full field's, bit for bit.
     grid = _exactness_grid(grid_kind, n)
-    if kind in ("f1", "f2"):
-        g = {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
-    else:
-        g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=seed)
-        if kind == "real coefficient":
-            g = _real_coefficient(g)
+    g = _exactness_signal(kind, n, seed)
     with _spied_coefficients() as seen:
         d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
     _assert_replayed_picks(d, seen, grid, dc_first)
@@ -461,12 +463,7 @@ def test_spectral_band_tracks_the_remainder(terms, grid_kind, n, kind, seed, dc_
     # the coefficients decompose passes to the stream stay within BAND_TOL
     # of the DFT of the remainder it carries in the time domain.
     grid = _exactness_grid(grid_kind, n)
-    if kind in ("f1", "f2"):
-        g = {"f1": signals.synth_f1, "f2": signals.synth_f2}[kind](n)
-    else:
-        g = signals.synth_random_hardy(n, degree=256, seed=seed)
-        if kind == "real coefficient":
-            g = _real_coefficient(g)
+    g = _exactness_signal(kind, n, seed)
     width = max(np.count_nonzero(row.weights)
                 for row in transform._radius_tables(grid.radii, n) if row is not None)
     with _spied_coefficients() as seen:
