@@ -34,7 +34,8 @@ __all__ = ["run_command", "main"]
 
 SCHEMA_VERSION = 1
 
-# Largest allowed |relative_errors[k] - residual_energy_k / E_0| in a document.
+# Largest allowed |relative_errors[k] - residual_energy_k / E_0| in a document,
+# times the square of the condition number of E_0 (see _initial_energy).
 ERRORS_TOL = 1e-10
 
 
@@ -116,7 +117,7 @@ def decomposition_from_document(doc):
     a_radius e^{2 pi i j / N} (to 1e-12), radii on the grid (or the dc-first
     pin a = 0 at step 1), a non-increasing residual-energy column, and
     relative errors equal to residual_energy / E_0 (to ERRORS_TOL), E_0 the
-    initial energy |c_1|^2 + residual_energy_1.
+    initial energy that step 1 pins (:func:`_initial_energy`).
     """
     if not isinstance(doc, dict):
         raise ValueError("document is not a JSON object")
@@ -168,16 +169,32 @@ def decomposition_from_document(doc):
             raise ValueError("residual_energy increases at step %d" % (i + 1,))
         previous = residual
         steps.append(core.DecompositionStep(point, coeff, residual))
-    # Initial energy is not persisted; the prefix identity pins it whenever
-    # at least one step exists.
-    initial = abs(steps[0].coefficient) ** 2 + steps[0].residual_energy if steps else 0.0
-    if steps and not initial > 0.0:
-        raise ValueError("step 1 leaves no initial energy")
+    if not steps:
+        return core.Decomposition((), grid, n, 0.0, engine), errors
+    initial, condition = _initial_energy(steps[0], n)
     for i, (step, error) in enumerate(zip(steps, errors)):
-        if not abs(error - step.residual_energy / initial) <= ERRORS_TOL:
+        if not abs(error - step.residual_energy / initial) <= ERRORS_TOL * condition ** 2:
             raise ValueError("relative_errors entry %d is not residual_energy over "
                              "the initial energy" % (i + 1,))
     return core.Decomposition(tuple(steps), grid, n, initial, engine), errors
+
+
+def _initial_energy(step, n):
+    """E_0 as step 1 pins it, and the condition number of that recovery.
+
+    The initial energy is not persisted. Step 1 takes c = <G, e_a> on the
+    N-point lattice, where ||e_a||^2 = (1 + rho) / (1 - rho), rho = |a|^N,
+    so E_1 = ||G - c e_a||^2 = E_0 - |c|^2 (1 - 3 rho) / (1 - rho). The
+    condition number is 1 unless rho > 1/3, where the two terms cancel; the
+    errors then carry a roundoff of up to its square, since they reach
+    E_1 / E_0, which is that condition number at most.
+    """
+    rho = step.point.radius ** n
+    gain = abs(step.coefficient) ** 2 * (1.0 - 3.0 * rho) / (1.0 - rho)
+    initial = step.residual_energy + gain
+    if not initial > 0.0:
+        raise ValueError("step 1 leaves no initial energy")
+    return initial, (step.residual_energy + abs(gain)) / initial
 
 
 # ---------------------------------------------------------------------------

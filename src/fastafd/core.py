@@ -376,10 +376,10 @@ def remainder_update(g, a, c):
 class _Spectrum:
     """The remainder's DFT coefficients, carried from step to step as a band.
 
-    A field reads the coefficients c_l only for l < W, W the largest count of
-    nonzero weights over the grid's rows, since every weight past it is an
-    exact zero. With G' = (G - c e_a)(1 - conj(a) z)/(z - a) and C the DFT
-    of G, the DFT of G' follows from C without a transform:
+    A field reads the coefficients c_l only for l < W, W the row stream's
+    `width`: every weight past it is an exact zero. With
+    G' = (G - c e_a)(1 - conj(a) z)/(z - a) and C the DFT of G, the DFT of
+    G' follows from C without a transform:
 
         S = C - c E,  E_l = N sqrt(1 - |a|^2) conj(a)^l / (1 - conj(a)^N);
         T_l = S_l - conj(a) S_{l-1},  T_0 = S_0 - conj(a) S_{N-1};
@@ -402,11 +402,9 @@ class _Spectrum:
     field or bound.
     """
 
-    def __init__(self, radii, n):
+    def __init__(self, width, radii, n):
         self._n = n
-        self._width = max([1] + [int(np.count_nonzero(row.weights))
-                                 for row in transform._radius_tables(radii, n)
-                                 if row is not None])
+        self._width = width
         self._depth = _scan_depth(max(radii))
         self._coeffs = None  # length-N buffer: the band, then zeros; None: no band
         self._size = 0       # band width B
@@ -546,7 +544,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
 
     if engine == "fft":
         stream = transform.RowStream(grid.radii, g.shape[0])
-        spectrum = _Spectrum(grid.radii, g.shape[0])
+        spectrum = _Spectrum(stream.width, grid.radii, g.shape[0])
     scratch = np.empty_like(remainder)
     steps = []
     for k in range(max_terms):

@@ -132,13 +132,15 @@ class _Row(NamedTuple):
     and `gather` is that bit reversal, so the row's transform input is
     weights * c[gather]. `leaf` is the inverse leaf, pre-twiddled for the
     stride P = N / Q when the row is pruned, and `stages` the size-N
-    stages that follow it.
+    stages that follow it. `width` counts the nonzero weights: the row
+    reads c_l only for l < width.
     """
 
     weights: np.ndarray
     gather: np.ndarray
     leaf: np.ndarray
     stages: tuple
+    width: int
 
 
 class SkippedRow(NamedTuple):
@@ -340,7 +342,7 @@ def _radius_tables(radii, n):
             leaf, stages = plan.inverse
         else:
             leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
-        rows.append(_Row(weights, gathers[q], leaf, stages))
+        rows.append(_Row(weights, gathers[q], leaf, stages, nonzero))
     return tuple(rows)
 
 
@@ -418,6 +420,10 @@ class RowStream:
     grid without holding the (M, N) field or allocating either buffer
     again, but a row is valid only until the next one is requested, from
     this call or another on the same stream.
+
+    `width` is the count of leading coefficients that any row reads: every
+    weight past it is an exact zero, so c_l for l >= width changes no row
+    and no bound.
     """
 
     def __init__(self, radii, n):
@@ -427,6 +433,7 @@ class RowStream:
             raise ValueError("need at least one radius")
         self._tables = _radius_tables(radii, n)
         self._bounds = _bound_tables(radii, n)
+        self.width = max([1] + [row.width for row in self._tables if row is not None])
         self._buffer = np.empty(n, dtype=np.complex128)
         size = max([n // 2] + [row.weights.size for row in self._tables if row is not None])
         self._work = np.empty(size, dtype=np.complex128)

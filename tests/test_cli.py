@@ -95,6 +95,23 @@ def test_no_dc_first_flag_changes_first_step(tmp_path):
         != (pinned["steps"][0]["a_radius"], pinned["steps"][0]["a_angle_index"])
 
 
+@pytest.mark.parametrize("samples, radii", [(8, None), (64, None), (64, "0:0.1:0.9")])
+def test_no_dc_first_documents_round_trip(tmp_path, samples, radii):
+    # Off the dc pin the kernel's squared norm on the N-point lattice is
+    # (1 + r^N) / (1 - r^N), not 1, so E_0 is not |c_1|^2 + E_1 here; the
+    # loader still accepts the document and recovers the initial energy.
+    sig = _synth(tmp_path, samples=samples)
+    extra = ("--no-dc-first",) + (("--radii", radii) if radii else ())
+    doc_path = _decompose(tmp_path, sig, extra=extra)
+    d, errors = cli.decomposition_from_document(json.loads(doc_path.read_text()))
+    assert d.steps[0].point.radius ** samples > 1e3 * cli.ERRORS_TOL
+    assert d.initial_energy == pytest.approx(
+        core.discrete_energy(signals.load_signal_csv(sig)), rel=1e-14)
+    code = cli.run_command(["reconstruct", "--input", str(doc_path),
+                            "--terms", "10", "--output", str(tmp_path / "s.csv")])
+    assert code == 0
+
+
 def test_threshold_stops_early(tmp_path):
     sig = _synth(tmp_path, samples=1024)
     path = _decompose(tmp_path, sig, extra=("--threshold", "0.2"))

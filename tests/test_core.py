@@ -464,8 +464,7 @@ def test_spectral_band_tracks_the_remainder(terms, grid_kind, n, kind, seed, dc_
     # of the DFT of the remainder it carries in the time domain.
     grid = _exactness_grid(grid_kind, n)
     g = _exactness_signal(kind, n, seed)
-    width = max(np.count_nonzero(row.weights)
-                for row in transform._radius_tables(grid.radii, n) if row is not None)
+    width = transform.RowStream(grid.radii, n).width
     with _spied_coefficients() as seen:
         d = core.decompose(g, grid, max_terms=terms, dc_first=dc_first)
     scale = np.max(np.abs(transform.dft_forward(g)))
