@@ -3,7 +3,8 @@
 Four subcommands. `synth` writes one of the bundled generators to a signal
 CSV, `decompose` runs the greedy decomposition and persists the step list
 plus the per-term relative-error trace as JSON, `reconstruct` rebuilds a
-partial sum from such a document, and `bench` times the engines.
+partial sum from such a document, and `bench` times the engines. `decompose`
+checks its document as `reconstruct` loads it and writes none that fails.
 
 JSON output is the standard `json` encoder's, so it is byte-deterministic
 for identical inputs: keys are written in a fixed order, one list entry per
@@ -244,7 +245,9 @@ def _cmd_decompose(args):
     d = core.decompose(g, grid, max_terms=args.terms, threshold=args.threshold,
                        engine=args.engine, dc_first=args.dc_first)
     errors = [step.residual_energy / d.initial_energy for step in d.steps]
-    text = dumps_document(document_from_decomposition(d, errors, args.dc_first))
+    doc = document_from_decomposition(d, errors, args.dc_first)
+    decomposition_from_document(doc)  # write no document that reconstruct rejects
+    text = dumps_document(doc)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     if errors:

@@ -19,16 +19,17 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs one
 weighted inverse transform per radius (O(M N log N) per step), "direct"
 the plain quadrature sums (O(M N^2), see the oracle module). The fft path
-streams the field to the selection one radius row at a time, in decreasing
-order of a per-row bound on |f|^2, so a step never holds the whole M x N
-field. The selection reduces each row's |f|^2 as the row arrives and sends
-the stream its running maximum, less a relative tie band TIE_BAND; the
-stream skips every row whose bound lies below that, so a step transforms
-one row, typically. Every cell within the band of the maximum counts as
-tied and the smallest (radius index, angle index) among them wins, so both
-engines select the same poles even where maxima tie mathematically (mirror
-pairs of real-coefficient or odd signals) and roundoff splits the tie
-differently, whatever order rows arrive in and whichever are skipped.
+hands the selection a field whose radius rows are computed on demand, one
+at a time into one buffer, together with a bound on each row's |f|^2, so a
+step never holds the whole M x N field. The selection reads the rows in
+decreasing bound, reduces each row's |f|^2 as it reads it, and stops at
+the first row whose bound lies below its running maximum, less a relative
+tie band TIE_BAND; so a step transforms one row, typically. Every cell
+within the band of the maximum counts as tied and the smallest (radius
+index, angle index) among them wins, so both engines select the same poles
+even where maxima tie mathematically (mirror pairs of real-coefficient or
+odd signals) and roundoff splits the tie differently, whatever order rows
+are read in and whichever are skipped.
 
 A decomposition takes one forward DFT of the remainder and carries the low
 band of its coefficients, the only ones a field reads, from step to step
@@ -41,7 +42,6 @@ measured energy is each step's residual, independent of the band.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -279,51 +279,44 @@ def inner_product_field(c, grid):
 def maximal_selection(field_values, grid):
     """Grid point with the largest |<G, e_a>|^2, within a tie band, and its field value.
 
-    `field_values` is the (M, N) field, or an iterator of (s, row) items,
-    row an (N,) array, that cover the field's rows once each in any order,
-    as :meth:`transform.RowStream.rows` yields them; an array is walked row
-    by row. Each row's |f|^2 is reduced as the row arrives, so no more than
-    one row is held at a time. An iterator with a `send` method, such as a
-    row stream, is sent (1 - TIE_BAND) times the running maximum of |f|^2
-    after each row, and may answer with a :class:`transform.SkippedRow` in
-    place of a row that cannot reach it; the pick stands only if every such
-    bound lies strictly below (1 - TIE_BAND) times the final maximum.
+    `field_values` is the (M, N) field, whose rows are read in row order,
+    or a field with rows on demand, as :meth:`transform.RowStream.rows`
+    returns it: M row bounds on |f|^2 in `bounds`, and row `s` as an (N,)
+    array from `field_values[s]`. Such a field's rows are read in decreasing
+    bound, rows of equal bound in row order, and the first row whose bound
+    lies below (1 - TIE_BAND) times the running maximum of |f|^2 ends the
+    reading: neither it nor any later row can hold a cell in the band. The
+    first row read is usually the one that holds the maximum, so a step
+    typically computes one row. Each row's |f|^2 is reduced as the row is
+    read, so no more than one row is held at a time.
 
     Every cell with |f|^2 >= (1 - TIE_BAND) max |f|^2 counts as tied, and
     the pick is the one with the smallest radius index, then the smallest
     angle index. So maxima that tie mathematically, which roundoff splits by
     far less than TIE_BAND, give the same pick in both engines, in whatever
-    order rows are evaluated or skipped. Per row the candidates are the
-    cells within the band of the row's own maximum; the final band is never
-    lower than a row's, so filtering them by it at the end is exact.
+    order rows are read or skipped. Per row the candidates are the cells
+    within the band of the row's own maximum; the final band is never lower
+    than a row's, so filtering them by it at the end is exact.
     """
     m, n = len(grid.radii), grid.angular_count
-    if isinstance(field_values, Iterator):
-        rows = field_values
-    else:
-        f = np.asarray(field_values)
-        if f.shape != (m, n):
-            raise ValueError("field shape %r does not match grid %r" % (f.shape, (m, n)))
-        rows = enumerate(f)
-    advance = getattr(rows, "send", None) or (lambda floor: next(rows))
+    bounds = getattr(field_values, "bounds", None)
+    if bounds is None:  # an array: no row is skipped
+        field_values = np.asarray(field_values)
+        if field_values.shape != (m, n):
+            raise ValueError("field shape %r does not match grid %r"
+                             % (field_values.shape, (m, n)))
+        bounds = [np.inf] * m
+    elif len(bounds) != m:
+        raise ValueError("%d row bounds do not fit a field of %d rows"
+                         % (len(bounds), m))
+    order = sorted(range(m), key=lambda s: -bounds[s])  # stable: ties in row order
     keep = 1.0 - TIE_BAND
-    covered = [False] * m
-    peak = None  # the largest |f|^2 seen
+    peak = -np.inf  # the largest |f|^2 read
     tied = []  # (s, angle indices, |f|^2, f): each row's cells in its own band
-    skipped = -np.inf  # largest bound of a skipped row
-    while True:
-        try:
-            item = advance(None if peak is None else keep * peak)
-        except StopIteration:
+    for s in order:
+        if bounds[s] < keep * peak:
             break
-        s, row = item
-        if not 0 <= s < m or covered[s]:
-            raise ValueError("row %d is outside the field's %d rows or seen before"
-                             % (s, m))
-        covered[s] = True
-        if isinstance(item, transform.SkippedRow):
-            skipped = max(skipped, item.bound)
-            continue
+        row = field_values[s]
         if row.shape != (n,):
             raise ValueError("row of shape %r does not fit a field of shape %r"
                              % (row.shape, (m, n)))
@@ -332,12 +325,7 @@ def maximal_selection(field_values, grid):
         top = magnitude.max()
         j = (magnitude >= keep * top).nonzero()[0]
         tied.append((s, j, magnitude[j], row[j]))
-        peak = top if peak is None else max(peak, top)
-    if not all(covered):
-        raise ValueError("rows cover %d of the field's %d rows" % (sum(covered), m))
-    if peak is None or not skipped < keep * peak:
-        raise ValueError("rows were skipped with a bound %g not below the band of "
-                         "the maximum %g" % (skipped, np.nan if peak is None else peak))
+        peak = max(peak, top)
     for s, j, values, cells in sorted(tied, key=lambda cell: cell[0]):
         hit = (values >= keep * peak).nonzero()[0]
         if hit.size:

@@ -21,26 +21,26 @@ entries long, are replaced by one dense 16-point DFT leaf applied as a
 matrix product (Van Loan, 1992); the remaining radix-2 stages run on one
 radius row at a time (1 MiB at N = 2^16), so a row stays in cache through
 all of its stages instead of the whole field streaming through memory once
-per stage. The leaf size is a fixed constant, not an option. One loop,
-:class:`RowStream`, yields each row as a 1-d array in one buffer that it
-reuses across fields, so a caller that reduces the rows as they come (the
-selection step) never holds more than one row;
-:func:`weighted_inverse_grid` copies every row into the (M, N) result.
+per stage. The leaf size is a fixed constant, not an option. One method of
+:class:`RowStream` computes a row on demand, as a 1-d array in one buffer
+that it reuses across fields, so a caller that reduces the rows as it reads
+them (the selection step) never holds more than one row;
+:func:`weighted_inverse_grid` computes every row in place in the (M, N)
+result.
 
-Such a caller may also send the stream a floor, its running maximum of
-|f|^2, and the stream then skips every row that cannot reach it. Before it
-transforms any row, the stream bounds every row's |f|^2 and then yields
-the rows in decreasing bound, so a step normally transforms only the row
-that holds the maximum. A row is the polynomial p(theta) = sum_{l<Q} y_l
-e^{i l theta}, y_l = w_l c_l. Its head H, the terms l < L with
-L = min(_SAMPLES, N), is sampled exactly at the L angles 2 pi u / L by one
-product of w_l c_l with an L-point inverse DFT matrix. At the maximum of
-|H|^2 the first derivative vanishes and the second is at most
-2 (D2 B_H + D1^2) in size, where B_H, D1 and D2 are sum |y_l|, sum l |y_l|
-and sum l^2 |y_l| over l < L, and the nearest sample lies within pi / L;
-the tail l >= L adds at most T = sum_{l>=L} |y_l| (discrete norms of
-polynomials: Ehlich and Zeller, 1964; Rakhmanov and Shekhtman, J. Approx.
-Theory 139, 2006). With B = B_H + T the bound is
+Before it reads any row, such a caller can read every row's bound on
+|f|^2 and skip the rows that cannot reach its running maximum. Read in
+decreasing bound, as the selection step reads them, a step normally
+transforms only the row that holds the maximum. A row is the polynomial
+p(theta) = sum_{l<Q} y_l e^{i l theta}, y_l = w_l c_l. Its head H, the
+terms l < L with L = min(_SAMPLES, N), is sampled exactly at the L angles
+2 pi u / L by one product of w_l c_l with an L-point inverse DFT matrix.
+At the maximum of |H|^2 the first derivative vanishes and the second is
+at most 2 (D2 B_H + D1^2) in size, where B_H, D1 and D2 are sum |y_l|,
+sum l |y_l| and sum l^2 |y_l| over l < L, and the nearest sample lies
+within pi / L; the tail l >= L adds at most T = sum_{l>=L} |y_l|
+(discrete norms of polynomials: Ehlich and Zeller, 1964; Rakhmanov and
+Shekhtman, J. Approx. Theory 139, 2006). With B = B_H + T the bound is
 
     U = min((B (1 + _MARGIN))^2,
             (sqrt(max_u |H(2 pi u / L)|^2 + (pi / L)^2 (D2 B_H + D1^2))
@@ -56,9 +56,7 @@ than 2 L tiny. Without these terms a row of subnormal |f|^2, such as
 z^{N/2-1} on a large radius, can exceed its bound by a rounding step.
 B_H, D1, D2 and T come from |c| and per-grid natural-order weights
 (:func:`_bound_tables`). An r = 0 row's bound is its exact value
-|c_0 / N|^2. The rows are sorted by U, descending and stable; once a row's
-bound lies below the floor, so do all later ones, and each yields a
-:class:`SkippedRow` without being transformed.
+|c_0 / N|^2.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -98,7 +96,6 @@ __all__ = [
     "weighted_inverse",
     "weighted_inverse_grid",
     "RowStream",
-    "SkippedRow",
 ]
 
 _LEAF = 16          # points per dense leaf transform; also the least pruned stride
@@ -141,17 +138,6 @@ class _Row(NamedTuple):
     leaf: np.ndarray
     stages: tuple
     width: int
-
-
-class SkippedRow(NamedTuple):
-    """Row `s` of a row stream left untransformed.
-
-    `bound` is at least every |f|^2 on the row; the stream skipped it
-    because it lay below the floor its caller sent.
-    """
-
-    s: int
-    bound: float
 
 
 def _checked_size(n):
@@ -404,22 +390,20 @@ def weighted_inverse(c, r):
 
 
 class RowStream:
-    """Weighted inverse rows of one grid, a row at a time, in one buffer.
+    """Weighted inverse rows of one grid, computed on demand in one buffer.
 
-    `RowStream(radii, n).rows(c)` yields (s, row): row is an (N,) array
-    holding row `s` of :func:`weighted_inverse_grid` for the same c and
-    radii, bit for bit. The rows come once each, in decreasing order of
-    their bound on |f|^2 (the module docstring), rows of equal bound in row
-    order; the first is usually the one that holds the field's maximum. A
-    caller iterating with `send(floor)` instead of `next` gets a
-    :class:`SkippedRow` carrying that bound in place of every later row
-    whose bound lies below `floor`. Every row of every call is written into
-    one (N,) buffer, and every transform input and stage scratch into one more
-    buffer of at most N entries. So a caller that reduces each row as it
-    comes, such as the selection step, runs field after field over the
-    grid without holding the (M, N) field or allocating either buffer
-    again, but a row is valid only until the next one is requested, from
-    this call or another on the same stream.
+    `RowStream(radii, n).rows(c)` returns the field of the coefficients c.
+    Its `bounds` lists every row's bound on |f|^2 (the module docstring) as
+    floats, in row order, and its `[s]` computes row `s` of
+    :func:`weighted_inverse_grid` for the same c and radii, bit for bit, as
+    an (N,) array. Which rows are computed, and in what order, is the
+    caller's choice. Every row of every field is written into one (N,)
+    buffer, and every transform input and stage scratch into one more buffer
+    of at most N entries. So a caller that reduces each row as it reads it,
+    such as the selection step, runs field after field over the grid
+    without holding the (M, N) field or allocating either buffer again, but
+    a row is valid only until the next `[s]`, on this field or another of
+    the same stream.
 
     `width` is the count of leading coefficients that any row reads: every
     weight past it is an exact zero, so c_l for l >= width changes no row
@@ -439,12 +423,12 @@ class RowStream:
         self._work = np.empty(size, dtype=np.complex128)
 
     def rows(self, c):
-        """Generator of the rows for the coefficients c (see the class)."""
+        """The field of the coefficients c, rows on demand (see the class)."""
         c, n = _checked_length(c)
         if n != self._buffer.shape[0]:
             raise ValueError("coefficient length %d does not match the stream's %d"
                              % (n, self._buffer.shape[0]))
-        return self._weighted_rows(np.asarray(c, dtype=np.complex128))
+        return _Field(self, np.asarray(c, dtype=np.complex128))
 
     def _row_bounds(self, c):
         """Every row's bound U on |f|^2 (see the module docstring), row order."""
@@ -468,33 +452,30 @@ class RowStream:
         bounds[rows] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
         return bounds
 
-    def _weighted_rows(self, c):
-        """The one loop of the weighted inverse transform, best bound first.
-
-        Each row yields (s, buffer) until the next row's bound lies below
-        the floor the caller sent; from there on every row yields
-        :class:`SkippedRow` and is not transformed.
-        """
+    def _row(self, c, s, out):
+        """Write row `s` of the field of c into `out`, a C-contiguous (N,) array."""
         n = c.shape[0]
-        bounds = self._row_bounds(c).tolist()
-        order = sorted(range(len(bounds)), key=lambda s: -bounds[s])  # stable
-        floor = None
-        for k, s in enumerate(order):
-            if floor is not None and bounds[s] < floor:
-                for s in order[k:]:
-                    yield SkippedRow(s, bounds[s])
-                return
-            row = self._tables[s]
-            if row is None:
-                self._buffer[...] = c[0] / n
-            else:
-                y = self._work[:row.weights.size]
-                np.multiply(row.weights, c[row.gather], out=y)
-                if row.gather.shape[0] < n:
-                    parts = y.view(np.float64)
-                    parts[np.abs(parts) < _TINY] = 0.0
-                _transform(y, self._buffer, row.leaf, row.stages, self._work)
-            floor = yield s, self._buffer
+        row = self._tables[s]
+        if row is None:
+            out[...] = c[0] / n
+            return out
+        y = self._work[:row.weights.size]
+        np.multiply(row.weights, c[row.gather], out=y)
+        if row.gather.shape[0] < n:
+            parts = y.view(np.float64)
+            parts[np.abs(parts) < _TINY] = 0.0
+        return _transform(y, out, row.leaf, row.stages, self._work)
+
+
+class _Field:
+    """The field of one coefficient vector c: see :meth:`RowStream.rows`."""
+
+    def __init__(self, stream, c):
+        self._stream, self._c = stream, c
+        self.bounds = stream._row_bounds(c).tolist()
+
+    def __getitem__(self, s):
+        return self._stream._row(self._c, s, self._stream._buffer)
 
 
 def weighted_inverse_grid(c, radii):
@@ -503,13 +484,14 @@ def weighted_inverse_grid(c, radii):
     Each row transforms only its nonzero weight prefix of length Q (see
     :func:`_radius_tables`); a pruned row's weighted prefix has its
     subnormal parts set to zero first. At r = 0 only the l = 0 term
-    survives, and the row is the constant c_0 / N. `out[s]` is the row `s`
-    that a :class:`RowStream` sent no floor yields, so no row is skipped,
-    and each row is identical to a single-radius call.
+    survives, and the row is the constant c_0 / N. `out[s]` is row `s` of
+    a :class:`RowStream` field, computed in place, and each row is
+    identical to a single-radius call.
     """
     c, n = _checked_length(c)
+    c = np.asarray(c, dtype=np.complex128)
     stream = RowStream(radii, n)
     out = np.empty((len(stream._tables), n), dtype=np.complex128)
-    for s, row in stream.rows(c):
-        out[s] = row
+    for s in range(out.shape[0]):
+        stream._row(c, s, out[s])
     return out

@@ -3,8 +3,8 @@
 The acceptance module reports one line per numbered criterion; the terminal
 summary hook below replays those lines at the end of the run so they stay
 visible under default output capturing. The `best_first_order` fixture
-recomputes, from the definitions, the order in which a row stream yields
-its rows.
+recomputes, from the definitions, the order in which the selection reads
+the rows of a row stream's field.
 """
 
 import numpy as np
@@ -64,8 +64,9 @@ def _row_bound(c, r):
 
 @pytest.fixture
 def best_first_order():
-    """Rows of a grid in decreasing bound, ties in row order: the order a
-    transform.RowStream yields them for the coefficients c."""
+    """Rows of a grid in decreasing bound, ties in row order: the order in
+    which core.maximal_selection reads them from transform.RowStream's field
+    of the coefficients c."""
 
     def order(c, radii):
         bounds = [_row_bound(np.asarray(c), r) for r in radii]

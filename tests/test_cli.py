@@ -112,6 +112,20 @@ def test_no_dc_first_documents_round_trip(tmp_path, samples, radii):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["f1", "f2", "random"])
+def test_decompose_writes_no_document_the_loader_rejects(tmp_path, capsys, kind):
+    # At N = 8 on 0:0.1:0.9 the first pole has r^N = 0.43 > 1/3, where the
+    # lattice norm of e_a exceeds 1 and the residual energy rises at step 2;
+    # the loader rejects such a document, so decompose must not write it.
+    sig = _synth(tmp_path, kind=kind, samples=8)
+    out = tmp_path / "d.json"
+    code = cli.run_command(["decompose", "--input", str(sig), "--no-dc-first",
+                            "--radii", "0:0.1:0.9", "--output", str(out)])
+    assert code == 1
+    assert "residual_energy increases at step 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threshold_stops_early(tmp_path):
     sig = _synth(tmp_path, samples=1024)
     path = _decompose(tmp_path, sig, extra=("--threshold", "0.2"))

@@ -254,20 +254,20 @@ def test_grid_zero_radius_row_between_others():
     (65536, tuple(k / 40 for k in range(33))),
 ])
 def test_row_stream_matches_grid_rows(n, radii, best_first_order):
-    # One stream serves field after field: each field's (N,) rows come in
-    # decreasing bound, and put back in row order they are bit-identical
-    # to the (M, N) grid of the same coefficients.
+    # One stream serves field after field: each field's bounds put its rows
+    # in the best-first order, and its (N,) rows, read in that order, are
+    # bit-identical to the (M, N) grid of the same coefficients.
     stream = transform.RowStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
         expected = transform.weighted_inverse_grid(c, radii)
-        order, rows = [], {}
-        for s, row in stream.rows(c):
+        field = stream.rows(c)
+        order = best_first_order(c, radii)
+        assert sorted(range(len(radii)), key=lambda s: -field.bounds[s]) == order
+        for s in order:
+            row = field[s]
             assert row.shape == (n,)
-            order.append(s)
-            rows[s] = row.copy()
-        assert order == best_first_order(c, radii)
-        assert np.array_equal(np.stack([rows[s] for s in range(len(radii))]), expected)
+            assert np.array_equal(row, expected[s])
 
 
 def _row_maxima(c, radii):
@@ -276,28 +276,33 @@ def _row_maxima(c, radii):
     return (f.real ** 2 + f.imag ** 2).max(axis=1)
 
 
-def test_row_stream_skips_rows_whose_bound_is_below_the_floor(best_first_order):
-    # Sent an infinite floor, the stream transforms its first row and then
-    # skips every other, in decreasing bound, each with a bound on its
-    # |f|^2; the r = 0 row's bound is its exact value. Sent no floor, it
-    # skips nothing.
+def test_row_stream_computes_rows_on_demand(monkeypatch):
+    # rows(c) bounds every row and transforms none; each [s] then computes
+    # row s alone, into the stream's one buffer. The bounds are floats, one
+    # a row, each at least the row's max |f|^2; the r = 0 row's bound is its
+    # exact value, and the row takes no transform.
     n = 16384
     radii = tuple(k / 10 for k in range(9))
     c = transform.dft_forward(_random_complex(n, seed=23))
     top = _row_maxima(c, radii)
-    order = best_first_order(c, radii)
-    stream = transform.RowStream(radii, n)
-    rows = stream.rows(c)
-    s, row = next(rows)
-    assert (s, row.shape) == (order[0], (n,))
-    skipped = [rows.send(np.inf) for _ in range(8)]
-    with pytest.raises(StopIteration):
-        rows.send(np.inf)
-    assert [item.s for item in skipped] == order[1:]
-    for item in skipped:
-        assert item.bound >= top[item.s]
-    assert [item.bound for item in skipped if item.s == 0] == [top[0]]
-    assert all(not isinstance(item, transform.SkippedRow) for item in stream.rows(c))
+    expected = transform.weighted_inverse_grid(c, radii)
+    transform_row = transform._transform
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return transform_row(*args)
+
+    monkeypatch.setattr(transform, "_transform", counting)
+    field = transform.RowStream(radii, n).rows(c)
+    assert calls == []
+    assert [type(bound) for bound in field.bounds] == [float] * len(radii)
+    assert all(bound >= t for bound, t in zip(field.bounds, top))
+    assert field.bounds[0] == top[0]
+    row = field[5]
+    assert len(calls) == 1 and np.array_equal(row, expected[5])
+    assert field[0] is row and np.array_equal(row, expected[0])
+    assert len(calls) == 1
 
 
 def _bound_test_coefficients(kind, n, seed):
@@ -319,22 +324,14 @@ def _bound_test_coefficients(kind, n, seed):
        kind=st.sampled_from(["random", "real coefficient", "f2-like", "top mode"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_row_bounds_hold_on_every_row(k, radii, kind, seed):
-    # Sent an infinite floor after its first row, the stream skips every
-    # other row; each skipped bound must reach the row's computed maximum
-    # |f|^2, wherever on the lattice that maximum lies.
+    # Each row's bound must reach the row's computed maximum |f|^2, wherever
+    # on the lattice that maximum lies.
     n = 2 ** k
     c = _bound_test_coefficients(kind, n, seed)
     top = _row_maxima(c, radii)
-    rows = transform.RowStream(radii, n).rows(c)
-    s, _ = next(rows)
-    skipped = []
-    with pytest.raises(StopIteration):
-        while True:
-            skipped.append(rows.send(np.inf))
-    assert sorted([s] + [item.s for item in skipped]) == list(range(len(radii)))
-    for item in skipped:
-        assert isinstance(item, transform.SkippedRow)
-        assert item.bound >= top[item.s]
+    bounds = transform.RowStream(radii, n).rows(c).bounds
+    assert len(bounds) == len(radii)
+    assert all(bound >= t for bound, t in zip(bounds, top))
 
 
 def test_row_stream_domain_errors():
