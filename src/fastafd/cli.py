@@ -260,9 +260,15 @@ def _cmd_decompose(args):
 
 def _cmd_reconstruct(args):
     with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: document nests too deeply" % args.input) from None
     d, errors = decomposition_from_document(doc)
-    s = core.reconstruct(d, args.terms)
+    try:
+        s = core.reconstruct(d, args.terms)
+    except MemoryError:
+        raise ValueError("no memory for a signal of %d samples" % d.n_samples) from None
     signals.save_signal_csv(args.output, s)
     if args.emit_errors:
         lines = ["n,relative_error"]

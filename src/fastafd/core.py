@@ -297,6 +297,8 @@ def maximal_selection(field_values, grid):
     order rows are read or skipped. Per row the candidates are the cells
     within the band of the row's own maximum; the final band is never lower
     than a row's, so filtering them by it at the end is exact.
+
+    A row read with a NaN raises ValueError.
     """
     m, n = len(grid.radii), grid.angular_count
     bounds = getattr(field_values, "bounds", None)
@@ -323,6 +325,8 @@ def maximal_selection(field_values, grid):
         magnitude = row.real ** 2
         magnitude += row.imag ** 2
         top = magnitude.max()
+        if not top >= 0.0:  # NaN, which no comparison below would see
+            raise ValueError("row %d of the field is not a number" % s)
         j = (magnitude >= keep * top).nonzero()[0]
         tied.append((s, j, magnitude[j], row[j]))
         peak = max(peak, top)

@@ -9,11 +9,12 @@ radius-weighted inverse
 that evaluates normalized reproducing-kernel inner products on a circle of
 radius r in one pass. Feeding f(l) = r^l c_l, times the row's scale, to
 inverse-direction butterflies is exactly the weighted sum; the weights are
-built by a running product and cached per grid so repeated field
-evaluations pay only for the butterflies. Weights that underflow below the
-smallest normal double are stored as exact zeros, which keeps every pass
-off the slow subnormal path. At r = 0 the row is the constant c_0 / N and
-is written without a transform.
+built by a running product and cached per grid, each row's once in natural
+order, so repeated field evaluations pay only for the butterflies and the
+bounds below. Weights that underflow below the smallest normal double are
+stored as exact zeros, which keeps every pass off the slow subnormal path.
+At r = 0 the row is the constant c_0 / N and is written without a
+transform.
 
 The kernel is cache-aware (Bailey, "FFTs in external or hierarchical
 memory", 1990). The first four radix-2 stages, whose runs are 1 to 8
@@ -54,9 +55,9 @@ squares below it round to a fixed absolute step, and a pruned row sets the
 subnormal parts of y to zero (below), which moves a head sample by less
 than 2 L tiny. Without these terms a row of subnormal |f|^2, such as
 z^{N/2-1} on a large radius, can exceed its bound by a rounding step.
-B_H, D1, D2 and T come from |c| and per-grid natural-order weights
-(:func:`_bound_tables`). An r = 0 row's bound is its exact value
-|c_0 / N|^2.
+B_H, D1, D2 and T come from |c| and the same per-grid weights that the
+row transforms read (:func:`_grid_tables`). An r = 0 row's bound is its
+exact value |c_0 / N|^2.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -78,8 +79,9 @@ The weighted prefix of a pruned row has its subnormal parts set to zero,
 the rule the weights already follow: a tiny weight times a small
 coefficient is subnormal, and the pre-twiddle would copy it P-fold.
 
-All sizes must be exact powers of two. Twiddle tables, leaf matrices and
-bit-reversal index vectors are cached and published read-only.
+All sizes must be exact powers of two. Twiddle tables, leaf matrices,
+bit-reversal index vectors and the per-grid weight tables are cached and
+published read-only.
 """
 
 from __future__ import annotations
@@ -125,18 +127,39 @@ class _Plan(NamedTuple):
 class _Row(NamedTuple):
     """One nonzero-radius grid row with prefix length Q.
 
-    `weights` holds the row's scaled r^l for l < Q, bit-reversed within Q,
-    and `gather` is that bit reversal, so the row's transform input is
-    weights * c[gather]. `leaf` is the inverse leaf, pre-twiddled for the
-    stride P = N / Q when the row is pruned, and `stages` the size-N
-    stages that follow it. `width` counts the nonzero weights: the row
-    reads c_l only for l < width.
+    `weights` holds the row's scaled r^l for l < Q in natural order, a
+    read-only view of the row's line of :attr:`_Grid.weights`, and `gather`
+    is the bit reversal of Q entries (`_plan(Q).rev`), so the row's
+    transform input is (weights * c[:Q])[gather]. `leaf` is the inverse
+    leaf, pre-twiddled for the stride P = N / Q when the row is pruned, and
+    `stages` the size-N stages that follow it.
     """
 
     weights: np.ndarray
     gather: np.ndarray
     leaf: np.ndarray
     stages: tuple
+
+
+class _Grid(NamedTuple):
+    """Per-grid tables, all read-only (:func:`_grid_tables`).
+
+    `rows` holds one :class:`_Row` per radius, None at r = 0, and `nonzero`
+    the indices of the other radii. Line k of `weights` holds the weights of
+    radius nonzero[k] in natural order, zero-padded to the longest prefix
+    (at least L = min(_SAMPLES, N) columns) and to a multiple of
+    _SAMPLE_ROWS lines. `moments` stacks its first L columns times 1, l and
+    l^2, so one product with |c| gives B_H, D1 and D2 (module docstring),
+    and `samples` is the L-point inverse DFT matrix, entry [l, u] =
+    e^{+i 2 pi l u / L}. `width` counts the leading weights that are
+    nonzero in some row, at least 1.
+    """
+
+    rows: tuple
+    nonzero: np.ndarray
+    weights: np.ndarray
+    moments: np.ndarray
+    samples: np.ndarray
     width: int
 
 
@@ -285,8 +308,8 @@ def dft_inverse(c):
 
 
 @lru_cache(maxsize=32)
-def _radius_tables(radii, n):
-    """Per-grid tables: one :class:`_Row` per radius, None at r = 0.
+def _grid_tables(radii, n):
+    """Per-grid tables of the row transforms and the row bounds: a :class:`_Grid`.
 
     radii is a tuple of floats (hashable for the cache). A row's weights are
     the running products 1, r, r^2, ... times its output scale. Weights
@@ -294,73 +317,49 @@ def _radius_tables(radii, n):
     double precision, and subnormal operands would send every butterfly
     over them down the slow subnormal path. Q is the smallest power of two
     that is at least the leaf size and covers the last nonzero weight; a row
-    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Only
-    the weight prefixes are kept.
+    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Each
+    row's weights are held once, as a row of `weights`, and its
+    :class:`_Row` views the first Q of them.
     """
     plan = _plan(n)
-    gathers = {n: plan.rev}
-    rows = []
-    for r in radii:
+    head = min(_SAMPLES, n)
+    prefixes = []
+    for s, r in enumerate(radii):
         if r == 0.0:
-            rows.append(None)
             continue
         powers = np.full(n, r)
         powers[0] = 1.0
         np.cumprod(powers, out=powers)
         # 1 - r^N underflows to 1 for moderate N; harmless, it is the exact limit.
         powers *= np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
-        powers[powers < _TINY] = 0.0
-        # The weights fall monotonically, so the nonzero ones are a prefix.
-        nonzero = np.count_nonzero(powers)
+        # The weights fall monotonically, so the normal ones are a prefix;
+        # only it is kept, the full row is freed here.
+        prefix = powers[:np.count_nonzero(powers >= _TINY)].copy()
         q = _LEAF
-        while q < nonzero:
+        while q < prefix.size:
             q *= 2
-        if n // q < _LEAF:
-            q = n
-        if q not in gathers:
-            gathers[q] = _bit_reversal_indices(q)
-            _read_only(gathers[q])
-        # Keep only the bit-reversed prefix; the full row is freed here.
-        weights = powers[gathers[q]]
-        _read_only(weights)
+        prefixes.append((s, q if n // q >= _LEAF else n, prefix))
+    nonzero = np.array([s for s, _, _ in prefixes], dtype=np.intp)
+    weights = np.zeros((-(-len(prefixes) // _SAMPLE_ROWS) * _SAMPLE_ROWS,
+                        max([head] + [q for _, q, _ in prefixes])))
+    for k, (_, _, prefix) in enumerate(prefixes):
+        weights[k, :prefix.size] = prefix
+    moments = np.concatenate([weights[:len(prefixes), :head] * np.arange(head) ** p
+                              for p in range(3)])
+    samples = np.exp(2j * np.pi * (np.outer(np.arange(head), np.arange(head)) % head)
+                     / head)
+    # Before the views below: a view taken earlier would stay writable.
+    _read_only(nonzero, weights, moments, samples)
+    rows = [None] * len(radii)
+    for k, (s, q, _) in enumerate(prefixes):
         p = n // q
         if p == 1:
             leaf, stages = plan.inverse
         else:
             leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
-        rows.append(_Row(weights, gathers[q], leaf, stages, nonzero))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=32)
-def _sample_matrix(n):
-    """(n, n) inverse DFT matrix, entry [l, u] = e^{+i 2 pi l u / n}, read-only."""
-    matrix = np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
-    _read_only(matrix)
-    return matrix
-
-
-@lru_cache(maxsize=32)
-def _bound_tables(radii, n):
-    """Per-grid tables of the row bounds (module docstring): rows, weights, moments.
-
-    `rows` lists the nonzero-radius rows. `weights` holds their weights in
-    natural order, zero-padded to the longest prefix and to a multiple of
-    _SAMPLE_ROWS rows; `moments` stacks the first L columns of `weights`
-    times 1, l and l^2, so one product with |c| gives B_H, D1 and D2.
-    """
-    tables = _radius_tables(radii, n)
-    rows = [s for s, row in enumerate(tables) if row is not None]
-    head = min(_SAMPLES, n)
-    width = max([head] + [tables[s].gather.size for s in rows])
-    weights = np.zeros((-(-len(rows) // _SAMPLE_ROWS) * _SAMPLE_ROWS, width))
-    for k, s in enumerate(rows):
-        weights[k, tables[s].gather] = tables[s].weights
-    moments = np.concatenate([weights[:len(rows), :head] * np.arange(head) ** p
-                              for p in range(3)])
-    rows = np.array(rows, dtype=np.intp)
-    _read_only(rows, weights, moments)
-    return rows, weights, moments
+        rows[s] = _Row(weights[k, :q], _plan(q).rev, leaf, stages)
+    width = max([1] + [prefix.size for _, _, prefix in prefixes])
+    return _Grid(tuple(rows), nonzero, weights, moments, samples, width)
 
 
 def _checked_radius(r):
@@ -397,17 +396,20 @@ class RowStream:
     floats, in row order, and its `[s]` computes row `s` of
     :func:`weighted_inverse_grid` for the same c and radii, bit for bit, as
     an (N,) array. Which rows are computed, and in what order, is the
-    caller's choice. Every row of every field is written into one (N,)
-    buffer, and every transform input and stage scratch into one more buffer
-    of at most N entries. So a caller that reduces each row as it reads it,
+    caller's choice. Every row of every field, and the weighted prefix it
+    is transformed from, is written into one (N,) buffer, and every
+    bit-reversed transform input and stage scratch into one more buffer of
+    at most N entries. So a caller that reduces each row as it reads it,
     such as the selection step, runs field after field over the grid
     without holding the (M, N) field or allocating either buffer again, but
     a row is valid only until the next `[s]`, on this field or another of
-    the same stream.
+    the same stream. The weights and the bound's tables are the grid's one
+    cached :func:`_grid_tables`, shared by every stream of the same radii
+    and size.
 
-    `width` is the count of leading coefficients that any row reads: every
-    weight past it is an exact zero, so c_l for l >= width changes no row
-    and no bound.
+    `width` is the count of leading coefficients that any row reads (the
+    grid table's): every weight past it is an exact zero, so c_l for
+    l >= width changes no row and no bound.
     """
 
     def __init__(self, radii, n):
@@ -415,12 +417,10 @@ class RowStream:
         radii = tuple(_checked_radius(r) for r in radii)
         if not radii:
             raise ValueError("need at least one radius")
-        self._tables = _radius_tables(radii, n)
-        self._bounds = _bound_tables(radii, n)
-        self.width = max([1] + [row.width for row in self._tables if row is not None])
+        self._grid = _grid_tables(radii, n)
+        self.width = self._grid.width
         self._buffer = np.empty(n, dtype=np.complex128)
-        size = max([n // 2] + [row.weights.size for row in self._tables if row is not None])
-        self._work = np.empty(size, dtype=np.complex128)
+        self._work = np.empty(max(n // 2, self._grid.weights.shape[1]), dtype=np.complex128)
 
     def rows(self, c):
         """The field of the coefficients c, rows on demand (see the class)."""
@@ -434,13 +434,14 @@ class RowStream:
         """Every row's bound U on |f|^2 (see the module docstring), row order."""
         n = c.shape[0]
         head = min(_SAMPLES, n)
-        rows, weights, moments = self._bounds
-        m = rows.shape[0]
+        grid = self._grid
+        weights = grid.weights
+        m = grid.nonzero.shape[0]
         magnitude = np.abs(c[:weights.shape[1]])
         y = weights[:, :head] * c[:head]
-        samples = np.matmul(y.reshape(-1, _SAMPLE_ROWS, head), _sample_matrix(head))
+        samples = np.matmul(y.reshape(-1, _SAMPLE_ROWS, head), grid.samples)
         peak = np.abs(samples).max(axis=2).reshape(-1)[:m] ** 2
-        b_head, d1, d2 = (moments @ magnitude[:head]).reshape(3, m)
+        b_head, d1, d2 = (grid.moments @ magnitude[:head]).reshape(3, m)
         tail = weights[:m, head:] @ magnitude[head:]
         total = b_head + tail
         curvature = (np.pi / head) ** 2 * (d2 * b_head + d1 * d1)
@@ -448,20 +449,25 @@ class RowStream:
                    * (1.0 + _MARGIN) + _MARGIN * total ** 2)
         value = c[0] / n
         # r = 0 rows: the exact |f|^2, squared as the selection squares it
-        bounds = np.full(len(self._tables), value.real ** 2 + value.imag ** 2)
-        bounds[rows] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
+        bounds = np.full(len(grid.rows), value.real ** 2 + value.imag ** 2)
+        bounds[grid.nonzero] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
         return bounds
 
     def _row(self, c, s, out):
         """Write row `s` of the field of c into `out`, a C-contiguous (N,) array."""
         n = c.shape[0]
-        row = self._tables[s]
+        row = self._grid.rows[s]
         if row is None:
             out[...] = c[0] / n
             return out
-        y = self._work[:row.weights.size]
-        np.multiply(row.weights, c[row.gather], out=y)
-        if row.gather.shape[0] < n:
+        # The weighted prefix goes into the front of `out`, which the
+        # transform overwrites, and its bit reversal into the work buffer.
+        # mode="clip" lets take write there directly; the default mode
+        # writes through a copy so that a bad index leaves `out` untouched.
+        q = row.weights.shape[0]
+        y = np.take(np.multiply(row.weights, c[:q], out=out[:q]), row.gather,
+                    out=self._work[:q], mode="clip")
+        if q < n:
             parts = y.view(np.float64)
             parts[np.abs(parts) < _TINY] = 0.0
         return _transform(y, out, row.leaf, row.stages, self._work)
@@ -482,7 +488,7 @@ def weighted_inverse_grid(c, radii):
     """Weighted inverse rows for every radius in `radii`, as an (M, N) array.
 
     Each row transforms only its nonzero weight prefix of length Q (see
-    :func:`_radius_tables`); a pruned row's weighted prefix has its
+    :func:`_grid_tables`); a pruned row's weighted prefix has its
     subnormal parts set to zero first. At r = 0 only the l = 0 term
     survives, and the row is the constant c_0 / N. `out[s]` is row `s` of
     a :class:`RowStream` field, computed in place, and each row is
@@ -491,7 +497,7 @@ def weighted_inverse_grid(c, radii):
     c, n = _checked_length(c)
     c = np.asarray(c, dtype=np.complex128)
     stream = RowStream(radii, n)
-    out = np.empty((len(stream._tables), n), dtype=np.complex128)
+    out = np.empty((len(stream._grid.rows), n), dtype=np.complex128)
     for s in range(out.shape[0]):
         stream._row(c, s, out[s])
     return out

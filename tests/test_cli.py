@@ -187,6 +187,31 @@ def test_reconstruct_rejects_terms_beyond_stored(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_a_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code = cli.run_command(["reconstruct", "--input", str(path), "--terms", "1",
+                            "--output", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_reconstruct_reports_a_signal_too_large_to_hold(tmp_path, capsys, monkeypatch):
+    # A document may claim more samples than memory holds; that is an input
+    # error, not a crash. The allocation failure is simulated.
+    doc_path = _decompose(tmp_path, _synth(tmp_path))
+
+    def out_of_memory(d, terms):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(core, "reconstruct", out_of_memory)
+    code = cli.run_command(["reconstruct", "--input", str(doc_path), "--terms", "1",
+                            "--output", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "error: no memory for a signal of 256 samples" in capsys.readouterr().err
+
+
 def test_document_validation_round_trip(tmp_path):
     doc_path = _decompose(tmp_path, _synth(tmp_path))
     doc = json.loads(doc_path.read_text())

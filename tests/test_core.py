@@ -209,6 +209,21 @@ def test_maximal_selection_rejects_bad_shape():
         core.maximal_selection(np.zeros((2, 8)), _grid(8))
 
 
+def test_maximal_selection_rejects_a_nan_beside_the_maximum():
+    # A NaN gives its row no maximum; the row must not drop out of the
+    # selection, leaving a pick of |f| = 1 where the field holds 100.
+    field = np.ones((9, 16), dtype=np.complex128)
+    field[3, 5], field[3, 6] = 100.0, np.nan
+    with pytest.raises(ValueError, match="row 3"):
+        core.maximal_selection(field, core.ParameterGrid.experiment_default(16))
+
+
+def test_maximal_selection_rejects_an_all_nan_field():
+    with pytest.raises(ValueError, match="row 0"):
+        core.maximal_selection(np.full((9, 16), np.nan),
+                               core.ParameterGrid.experiment_default(16))
+
+
 def _full_pick(c, grid):
     return core.maximal_selection(core.inner_product_field(c, grid), grid)
 

@@ -1,5 +1,6 @@
-"""Smoke test for the script under scripts/."""
+"""Smoke tests for the scripts under scripts/."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -20,3 +21,15 @@ def test_error_tables_prints_both_engines(monkeypatch, capsys):
         assert [row[0] for row in rows] == ["1", "2", "3"]
         for _, fft, direct in rows:
             assert abs(float(fft) - float(direct)) < 1e-6
+
+
+def test_picks_digest_is_repeatable():
+    # The corpus on its two smallest sizes: 2 sizes x 4 signals x 2 grids x
+    # 2 dc-first settings x 2 engines, hashed the same way twice.
+    picks = runpy.run_path(str(SCRIPTS / "picks.py"))
+    sizes = picks["SIZES"][:2]
+    assert sizes == (8, 16)
+    assert len(list(picks["corpus"](sizes))) == 64
+    first, second = picks["digest"](sizes), picks["digest"](sizes)
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert first == second

@@ -222,7 +222,7 @@ def test_grid_rows_match_single_radius_calls():
 def _row_strides(radii, n):
     # (row, P) per nonzero-radius row; P = N / Q is the row's pruning stride.
     return [(s, n // row.gather.shape[0])
-            for s, row in enumerate(transform._radius_tables(radii, n)) if row is not None]
+            for s, row in enumerate(transform._grid_tables(radii, n).rows) if row is not None]
 
 
 def test_grid_rows_match_single_radius_calls_across_blocks():
@@ -345,25 +345,42 @@ def test_row_stream_domain_errors():
         transform.RowStream((0.5,), 64).rows(np.ones(32, dtype=np.complex128))
 
 
-def test_radius_tables_hold_no_subnormal_weights():
+def test_grid_tables_hold_no_subnormal_weights():
     # For r > 0.5 the running product r^l underflows into the subnormal
     # range long before l = N; such weights must be stored as exact zeros.
     n = 65536
     radii = tuple(k / 10 for k in range(9))
-    tables = transform._radius_tables(radii, n)
+    grid = transform._grid_tables(radii, n)
     layout = _row_strides(radii, n)
     assert [s for s, _ in layout] == list(range(1, 9))  # r = 0 has no table
     assert all(p == 1 or p >= 16 for _, p in layout)
     tiny = np.finfo(np.float64).tiny
-    for row in tables[1:]:
-        assert not np.any((row.weights > 0.0) & (row.weights < tiny))
-        assert np.all(row.weights >= 0.0)
+    for weights in [row.weights for row in grid.rows[1:]] + [grid.weights]:
+        assert not np.any((weights > 0.0) & (weights < tiny))
+        assert np.all(weights >= 0.0)
+
+
+def test_cached_tables_are_read_only():
+    # Cached tables are shared by every later caller, so each must refuse
+    # writes; a view taken before its base was made read-only would not.
+    n, radii = 8192, (0.0, 0.1, 0.8)
+    assert _row_strides(radii, n) == [(1, 16), (2, 1)]  # one pruned row, one not
+    plan = transform._plan(n)
+    grid = transform._grid_tables(radii, n)
+    tables = [plan.rev, plan.forward[0], *plan.forward[1], plan.inverse[0],
+              *plan.inverse[1], transform._pruned_leaf(16), grid.nonzero, grid.weights,
+              grid.moments, grid.samples, core._circle(n), oracle._kernel_rows(radii, n)]
+    for row in grid.rows[1:]:
+        # A row's weights are a view of the grid's one weight matrix.
+        assert np.shares_memory(row.weights, grid.weights)
+        tables += [row.weights, row.gather, row.leaf, *row.stages]
+    assert [table.flags.writeable for table in tables] == [False] * len(tables)
 
 
 def _last_weight_index(r, n):
     # Largest l whose scaled weight r^l sqrt(1-r^2)/(N(1-r^N)) is normal.
-    (row,) = transform._radius_tables((r,), n)
-    return int(row.gather[np.flatnonzero(row.weights)].max())
+    (row,) = transform._grid_tables((r,), n).rows
+    return int(np.flatnonzero(row.weights).max())
 
 
 @pytest.mark.parametrize("r", [k / 10 for k in range(1, 9)])
