@@ -19,22 +19,26 @@ remainder energy at every prefix, up to roundoff.
 Two interchangeable engines evaluate the selection field: "fft" runs one
 weighted inverse transform per radius (O(M N log N) per step), "direct"
 the plain quadrature sums (O(M N^2), see the oracle module). The fft path
-hands the selection a field whose radius rows are computed on demand, one
-at a time into one buffer, together with a bound on each row's |f|^2, so a
-step never holds the whole M x N field. The selection reads the rows in
-decreasing bound, reduces each row's |f|^2 as it reads it, and stops at
-the first row whose bound lies below its running maximum, less a relative
-tie band TIE_BAND; so a step transforms one row, typically. Every cell
-within the band of the maximum counts as tied and the smallest (radius
-index, angle index) among them wins, so both engines select the same poles
-even where maxima tie mathematically (mirror pairs of real-coefficient or
-odd signals) and roundoff splits the tie differently, whatever order rows
-are read in and whichever are skipped.
+hands the selection a field whose radius rows are read on demand, one at a
+time, together with a bound on each row's |f|^2, so a step never holds the
+whole M x N field. A row is read as its samples on a sub-lattice and the
+exact cells of the few arcs between samples that can reach the band. The
+selection reads the rows in decreasing bound, reduces each row's |f|^2 as
+it reads it, and stops at the first row whose bound lies below its running
+maximum, less a relative tie band TIE_BAND; so a step reads one row,
+typically. Every cell within the band of the maximum counts as tied and
+the smallest (radius index, angle index) among them wins, so both engines
+select the same poles even where maxima tie mathematically (mirror pairs
+of real-coefficient or odd signals) and roundoff splits the tie
+differently, whatever order rows are read in and whichever are skipped.
 
 A decomposition takes one forward DFT of the remainder and carries the low
 band of its coefficients, the only ones a field reads, from step to step
-(:class:`_Spectrum`); it takes another DFT only when the band runs out, and
-at every step when no band fits (N <= 2048 on the standard grid). The
+(:class:`_Spectrum`); it takes another DFT only when the band runs out.
+Each field's rows are cut at a degree the remainder's measured energy
+certifies (:mod:`transform`), about 256 coefficients on the standard grid
+at every N, so the band fits from N = 1024 on: a 10-term decomposition
+takes 3 DFTs at N = 1024 and 1 from N = 4096 on, as a rule. The
 time-domain remainder is reduced in place in one workspace, and its
 measured energy is each step's residual, independent of the band.
 """
@@ -279,16 +283,18 @@ def inner_product_field(c, grid):
 def maximal_selection(field_values, grid):
     """Grid point with the largest |<G, e_a>|^2, within a tie band, and its field value.
 
-    `field_values` is the (M, N) field, whose rows are read in row order,
-    or a field with rows on demand, as :meth:`transform.RowStream.rows`
-    returns it: M row bounds on |f|^2 in `bounds`, and row `s` as an (N,)
-    array from `field_values[s]`. Such a field's rows are read in decreasing
+    `field_values` is the (M, N) field, whose rows are read whole in row
+    order, or a field with rows on demand, as :meth:`transform.RowStream.rows`
+    returns it: M row bounds on |f|^2 in `bounds`, and from
+    `field_values.cells(s, peak, TIE_BAND)` the cells of row `s` that can lie
+    in the tie band of max(peak, the row's maximum), as ascending angle
+    indices and their values. Such a field's rows are read in decreasing
     bound, rows of equal bound in row order, and the first row whose bound
     lies below (1 - TIE_BAND) times the running maximum of |f|^2 ends the
     reading: neither it nor any later row can hold a cell in the band. The
     first row read is usually the one that holds the maximum, so a step
-    typically computes one row. Each row's |f|^2 is reduced as the row is
-    read, so no more than one row is held at a time.
+    typically reads one row. Each row's |f|^2 is reduced as the row is read,
+    so no more than one row is held at a time.
 
     Every cell with |f|^2 >= (1 - TIE_BAND) max |f|^2 counts as tied, and
     the pick is the one with the smallest radius index, then the smallest
@@ -301,14 +307,10 @@ def maximal_selection(field_values, grid):
     A row read with a NaN raises ValueError.
     """
     m, n = len(grid.radii), grid.angular_count
-    bounds = getattr(field_values, "bounds", None)
-    if bounds is None:  # an array: no row is skipped
-        field_values = np.asarray(field_values)
-        if field_values.shape != (m, n):
-            raise ValueError("field shape %r does not match grid %r"
-                             % (field_values.shape, (m, n)))
-        bounds = [np.inf] * m
-    elif len(bounds) != m:
+    if not hasattr(field_values, "bounds"):
+        field_values = _WholeRows(field_values, m, n)
+    bounds = field_values.bounds
+    if len(bounds) != m:
         raise ValueError("%d row bounds do not fit a field of %d rows"
                          % (len(bounds), m))
     order = sorted(range(m), key=lambda s: -bounds[s])  # stable: ties in row order
@@ -318,22 +320,37 @@ def maximal_selection(field_values, grid):
     for s in order:
         if bounds[s] < keep * peak:
             break
-        row = field_values[s]
-        if row.shape != (n,):
-            raise ValueError("row of shape %r does not fit a field of shape %r"
-                             % (row.shape, (m, n)))
+        j, row = field_values.cells(s, peak, TIE_BAND)
+        if row.ndim != 1 or row.shape != j.shape or not row.size:
+            raise ValueError("cells of shapes %r and %r do not fit a field of shape %r"
+                             % (j.shape, row.shape, (m, n)))
         magnitude = row.real ** 2
         magnitude += row.imag ** 2
         top = magnitude.max()
         if not top >= 0.0:  # NaN, which no comparison below would see
             raise ValueError("row %d of the field is not a number" % s)
-        j = (magnitude >= keep * top).nonzero()[0]
-        tied.append((s, j, magnitude[j], row[j]))
+        hit = (magnitude >= keep * top).nonzero()[0]
+        tied.append((s, j[hit], magnitude[hit], row[hit]))
         peak = max(peak, top)
     for s, j, values, cells in sorted(tied, key=lambda cell: cell[0]):
         hit = (values >= keep * peak).nonzero()[0]
         if hit.size:
             return grid.point(s, int(j[hit[0]])), complex(cells[hit[0]])
+
+
+class _WholeRows:
+    """An (M, N) field as :func:`maximal_selection` reads a field on demand:
+    no row is skipped, and every cell of a row is a candidate."""
+
+    def __init__(self, values, m, n):
+        values = np.asarray(values)
+        if values.shape != (m, n):
+            raise ValueError("field shape %r does not match grid %r" % (values.shape, (m, n)))
+        self._values, self._j = values, np.arange(n)
+        self.bounds = [np.inf] * m
+
+    def cells(self, s, peak, band):
+        return self._j, self._values[s]
 
 
 def _reduce(g, a, c, scratch):
@@ -368,8 +385,8 @@ def remainder_update(g, a, c):
 class _Spectrum:
     """The remainder's DFT coefficients, carried from step to step as a band.
 
-    A field reads the coefficients c_l only for l < W, W the row stream's
-    `width`: every weight past it is an exact zero. With
+    A field reads the coefficients c_l only for l below its `width`, the
+    longest prefix its rows are cut at (:class:`transform.RowStream`). With
     G' = (G - c e_a)(1 - conj(a) z)/(z - a) and C the DFT of G, the DFT of
     G' follows from C without a transform:
 
@@ -384,43 +401,51 @@ class _Spectrum:
     plus C[N-1] gives the next step's band O[0:B-d] plus O[N-1]: each step
     loses at most D entries, D the depth of the grid's largest radius.
 
-    When the band is narrower than W, the field's coefficients come from one
-    DFT of the time-domain remainder instead. Its prefix of width
-    W + K D, K the number of fields that may follow, is kept as the band,
-    with K cut to the most steps that fit below N; when not even one fits,
-    as at N <= 2048 on the standard grid, where W = N, nothing is kept and
-    every step takes a DFT. The band is zero-padded into one length-N
-    buffer: the weights past W are exact zeros, so the padding changes no
-    field or bound.
+    A field whose width the band does not cover takes its coefficients
+    from one DFT of the time-domain remainder instead. The prefix of that
+    DFT kept as the band is the field's width plus D for each field that
+    may follow, as many as fit below N. On the standard grid a cut row reads about
+    256 coefficients, so a 10-term decomposition takes 3 DFTs at
+    N = 1024 and 1 from N = 4096 on. The band is zero-padded into one
+    length-N buffer; no field reads past its width, so the padding changes
+    no field or bound.
     """
 
-    def __init__(self, width, radii, n):
+    def __init__(self, radii, n):
         self._n = n
-        self._width = width
         self._depth = _scan_depth(max(radii))
         self._coeffs = None  # length-N buffer: the band, then zeros; None: no band
         self._size = 0       # band width B
         self._last = 0j      # C[N-1]
+        self._width = 0      # the last field's width
 
-    def coefficients(self, remainder, later):
-        """Coefficients of `remainder` for this step's field, `later` more to come."""
+    def field(self, stream, remainder, energy, later):
+        """This step's field of `remainder`, of `energy`, with `later` fields to come."""
         if self._coeffs is not None:
-            return self._coeffs
-        c = transform.dft_forward(remainder)
-        steps = min(later, (self._n - 1 - self._width) // self._depth)
+            f = stream.rows(self._coeffs, energy)
+            if f.width <= self._size:
+                self._width = f.width
+                return f
         self._coeffs = None
+        c = transform.dft_forward(remainder)
+        f = stream.rows(c, energy)
+        self._width = f.width
+        # One scan depth per later field, as many as fit below N.
+        steps = min(later, (self._n - 1 - f.width) // self._depth)
         if steps > 0:
-            self._size = self._width + steps * self._depth
+            self._size = f.width + steps * self._depth
             self._last = complex(c[-1])
             c[self._size:] = 0.0
             self._coeffs = c
-        return c
+        return f
 
     def update(self, a, c):
         """Carry the band through the step with pole a and coefficient c."""
         if self._coeffs is None:
             return
         b, d = self._size, _scan_depth(abs(a))
+        # A field's width rarely changes from step to step, so a band
+        # narrower than the last one is dropped rather than tried.
         if b - d < self._width:
             self._coeffs = None
             return
@@ -536,16 +561,17 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
 
     if engine == "fft":
         stream = transform.RowStream(grid.radii, g.shape[0])
-        spectrum = _Spectrum(stream.width, grid.radii, g.shape[0])
+        spectrum = _Spectrum(grid.radii, g.shape[0])
     scratch = np.empty_like(remainder)
     steps = []
+    residual = initial
     for k in range(max_terms):
         if k == 0 and dc_first:
             point = ParameterPoint(0.0, 0, 0j)
             coeff = complex(np.mean(remainder))
         else:
             if engine == "fft":
-                f = stream.rows(spectrum.coefficients(remainder, max_terms - k - 1))
+                f = spectrum.field(stream, remainder, residual, max_terms - k - 1)
             else:
                 f = oracle.field_direct(remainder, grid)
             point, coeff = maximal_selection(f, grid)

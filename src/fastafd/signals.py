@@ -9,6 +9,7 @@ by the command line.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -91,33 +92,37 @@ def save_signal_csv(path, g):
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("signal must be 1-d")
-    lines = [CSV_HEADER]
-    for m, v in enumerate(g):
-        lines.append("%d,%.17g,%.17g" % (m, v.real, v.imag))
+    n = g.shape[0]
+    # One format over the whole body; Python floats print as numpy's do.
+    body = ("%d,%.17g,%.17g\n" * n) % tuple(
+        itertools.chain.from_iterable(zip(range(n), g.real.tolist(), g.imag.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n" + body)
 
 
 def load_signal_csv(path):
     """Read a signal written by save_signal_csv, validating shape and finiteness.
 
-    The body is parsed in one pass: three comma-separated columns per row,
-    an integer index equal to the row number, blank lines skipped. `#` has
-    no special meaning, so a comment row is a malformed row.
+    The body holds three comma-separated columns per row, an integer index
+    equal to the row number, and blank lines, which are skipped. `#` has no
+    special meaning, so a comment row is a malformed row. The body is parsed
+    as it stands first; one that parse rejects, such as a body with a
+    whitespace-only line or none at all, is read again with such lines
+    skipped, and that reading reports any error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError("bad signal header %r in %s" % (header, path))
-        lines = (line for line in fh if not line.isspace())
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("no samples in %s" % path)
-        try:
-            table = np.loadtxt(itertools.chain([first], lines), dtype=_CSV_ROW,
-                               delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ValueError("malformed rows in %s: %s" % (path, exc)) from None
+    if header != CSV_HEADER:
+        raise ValueError("bad signal header %r in %s" % (header, path))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # an empty body warns
+            table = np.loadtxt(path, dtype=_CSV_ROW, delimiter=",", comments=None,
+                               skiprows=1, ndmin=1, encoding="utf-8")
+    except (ValueError, UserWarning):
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            table = _read_rows(fh, path)
     n = core._signal_length(table.shape[0])
     if not np.array_equal(table["i"], np.arange(n)):
         raise ValueError("index column out of order in %s" % path)
@@ -128,3 +133,16 @@ def load_signal_csv(path):
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite samples in %s" % path)
     return g
+
+
+def _read_rows(fh, path):
+    """The rows of the body of `fh`, whitespace-only lines skipped."""
+    lines = (line for line in fh if not line.isspace())
+    first = next(lines, None)
+    if first is None:
+        raise ValueError("no samples in %s" % path)
+    try:
+        return np.loadtxt(itertools.chain([first], lines), dtype=_CSV_ROW,
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError("malformed rows in %s: %s" % (path, exc)) from None

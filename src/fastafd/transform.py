@@ -20,28 +20,74 @@ The kernel is cache-aware (Bailey, "FFTs in external or hierarchical
 memory", 1990). The first four radix-2 stages, whose runs are 1 to 8
 entries long, are replaced by one dense 16-point DFT leaf applied as a
 matrix product (Van Loan, 1992); the remaining radix-2 stages run on one
-radius row at a time (1 MiB at N = 2^16), so a row stays in cache through
-all of its stages instead of the whole field streaming through memory once
-per stage. The leaf size is a fixed constant, not an option. One method of
-:class:`RowStream` computes a row on demand, as a 1-d array in one buffer
-that it reuses across fields, so a caller that reduces the rows as it reads
-them (the selection step) never holds more than one row;
-:func:`weighted_inverse_grid` computes every row in place in the (M, N)
-result.
+row at a time, so a row stays in cache through all of its stages instead
+of the whole field streaming through memory once per stage. The leaf size
+is a fixed constant, not an option. :func:`weighted_inverse_grid` computes
+every full row in place in the (M, N) result; :class:`RowStream` reads each
+row as the short polynomial it is, for the selection step.
 
-Before it reads any row, such a caller can read every row's bound on
-|f|^2 and skip the rows that cannot reach its running maximum. Read in
-decreasing bound, as the selection step reads them, a step normally
-transforms only the row that holds the maximum. A row is the polynomial
-p(theta) = sum_{l<Q} y_l e^{i l theta}, y_l = w_l c_l. Its head H, the
-terms l < L with L = min(_SAMPLES, N), is sampled exactly at the L angles
-2 pi u / L by one product of w_l c_l with an L-point inverse DFT matrix.
-At the maximum of |H|^2 the first derivative vanishes and the second is
-at most 2 (D2 B_H + D1^2) in size, where B_H, D1 and D2 are sum |y_l|,
-sum l |y_l| and sum l^2 |y_l| over l < L, and the nearest sample lies
-within pi / L; the tail l >= L adds at most T = sum_{l>=L} |y_l|
-(discrete norms of polynomials: Ehlich and Zeller, 1964; Rakhmanov and
-Shekhtman, J. Approx. Theory 139, 2006). With B = B_H + T the bound is
+Weighted rows are input-pruned (Skinner, "Pruning the decimation
+in-time FFT algorithm", 1976). A row's input is a prefix of Q nonzero
+entries; for an S-point transform, after bit reversal they sit every
+P = S / Q positions, so the first log2(P) butterfly levels only copy. The
+row skips those levels and runs the next four as the dense leaf with a
+stride-P pre-twiddle folded into its matrix, one (Q/16, 16) x (16, 16 P)
+product, then only the stages from span 32 P on (:func:`_sampler`). The
+weighted prefix of a pruned row has its subnormal parts set to zero, the
+rule the weights already follow: a tiny weight times a small coefficient
+is subnormal, and the pre-twiddle would copy it P-fold. The full rows of
+:func:`weighted_inverse_grid` take S = N and the whole nonzero weight
+prefix, the row's full width.
+
+The cut (Aurentz and Trefethen, "Chopping a Chebyshev series", ACM TOMS
+43, 2017). A field's rows are read only up to a degree that the signal's
+energy fixes, independent of N. With the unnormalized DFT Parseval gives
+||C||_2 = N sqrt(E), E the energy of the signal whose DFT C is, so by
+Cauchy-Schwarz the terms l >= Q of a row move any |f| on it by at most
+N sqrt(E) ||w_{>=Q}||_2, whether or not c_l for l >= Q is known. Each row
+is cut at the first power of two Q >= L, L = min(_SAMPLES, N) below, whose
+tail lies below _CUT times a lower bound on max |f| over the field (or at
+its full width, where that is less): the
+largest head sample of any row less that row's tail from L on, or the
+exact r = 0 row. When no such Q lies below the row's full width (the bound
+is not positive, as for z^{N/2-1}, whose field is tiny against its
+energy), the row reads its full width. A field's `width` is its widest
+cut, at least L.
+
+The sampler and the arcs (output pruning: Sorensen and Burrus, IEEE Trans.
+Signal Process. 41, 1993). A cut row p(theta) = sum_{l<Q} y_l e^{i l theta}
+is sampled at S = min(N, _OVERSAMPLE Q) angles 2 pi u / S by the pruned
+S-point transform of its prefix; each sample is a lattice cell. Arc u holds
+the N / S cells from sample u up to sample u + 1. On it |p|^2 has second
+derivative at most K = 2 (D1^2 + B D2), with B, D1 and D2 the sums of
+|y_l|, l |y_l| and l^2 |y_l| over l < Q, so no cell of the arc exceeds
+
+    (max(|p_u|^2, |p_{u+1}|^2) + K h^2 / 8) (1 + _ARC_MARGIN)
+        + _ARC_MARGIN B^2 + 2 Q tiny,    h = 2 pi / S.
+
+Only the cells of arcs whose bound reaches (1 - band) times the running
+maximum are evaluated exactly, as sums over the prefix with cached root
+tables (:func:`_refine_tables`); the selection's tie band then decides as
+before. When S = N an arc is its one sample and the samples are the row.
+A row whose samples are all 0 is itself 0, since its degree lies below S;
+while nothing larger has been read, its one candidate is cell 0. On the standard grid
+a cut row has Q = 256 at every N >= 256, so at N = 65536 a field reads one
+4096-point sample and a few dozen exact cells instead of 65536 outputs.
+
+Before it reads any row, the selection reads every row's bound on |f|^2
+and skips the rows that cannot reach its running maximum. Read in
+decreasing bound, a step normally samples only the row that holds the
+maximum. The bound's head H, the terms l < L of a row, is sampled exactly
+at the L angles 2 pi u / L by one product of w_l c_l with an L-point
+inverse DFT matrix. At the maximum of |H|^2 the first derivative vanishes
+and the second is at most 2 (D2 B_H + D1^2) in size, where B_H, D1 and D2
+are sum |y_l|, sum l |y_l| and sum l^2 |y_l| over l < L, and the nearest
+sample lies within pi / L (discrete norms of polynomials: Ehlich and
+Zeller, 1964; Rakhmanov and Shekhtman, J. Approx. Theory 139, 2006). The
+rest adds at most T = sum_{L<=l<W} |y_l| + N sqrt(E) ||w_{>=W}||_2, W the
+field's width: the triangle inequality up to it, and the Parseval tail
+past it, which no row reads. So T bounds both the cut row and the
+full-width one. With B = B_H + T the bound is
 
     U = min((B (1 + _MARGIN))^2,
             (sqrt(max_u |H(2 pi u / L)|^2 + (pi / L)^2 (D2 B_H + D1^2))
@@ -52,12 +98,12 @@ is looser than that one. The margins cover the roundoff of the
 butterflies, which can lift a computed |f| slightly above the exact value.
 tiny, the smallest normal double, covers what a relative margin cannot:
 squares below it round to a fixed absolute step, and a pruned row sets the
-subnormal parts of y to zero (below), which moves a head sample by less
-than 2 L tiny. Without these terms a row of subnormal |f|^2, such as
-z^{N/2-1} on a large radius, can exceed its bound by a rounding step.
-B_H, D1, D2 and T come from |c| and the same per-grid weights that the
-row transforms read (:func:`_grid_tables`). An r = 0 row's bound is its
-exact value |c_0 / N|^2.
+subnormal parts of y to zero, which moves a head sample by less than
+2 L tiny. Without these terms a row of subnormal |f|^2, such as z^{N/2-1}
+on a large radius, can exceed its bound by a rounding step. B_H, D1, D2
+and T come from |c| and the same per-grid weights that the row transforms
+read (:func:`_grid_tables`). An r = 0 row's bound is its exact value
+|c_0 / N|^2.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -66,26 +112,17 @@ idle machine, but OpenBLAS's worker spins between calls, so when another
 process holds the second core the transform runs at about half speed.
 With OpenBLAS a tile gives each entry the same bits as the whole product.
 The bound's sample products obey the same rule: tiles of 8 rows,
-8 x 64 x 64 = 32768.
-
-Weighted rows are input-pruned (Skinner, "Pruning the decimation
-in-time FFT algorithm", 1976). Once r^l underflows, a row's input is a
-prefix of Q = N / P nonzero entries; after bit reversal they sit every P
-positions, so the first log2(P) butterfly levels only copy. When P is at
-least the leaf size, the row skips those levels and runs the next four as
-the dense leaf with a stride-P pre-twiddle folded into its matrix, one
-(Q/16, 16) x (16, 16 P) product, then only the stages from span 32 P on.
-The weighted prefix of a pruned row has its subnormal parts set to zero,
-the rule the weights already follow: a tiny weight times a small
-coefficient is subnormal, and the pre-twiddle would copy it P-fold.
+8 x 64 x 64 = 32768. The exact cells are one small product per arc, so a
+cell's bits do not depend on how many arcs are refined with it.
 
 All sizes must be exact powers of two. Twiddle tables, leaf matrices,
-bit-reversal index vectors and the per-grid weight tables are cached and
-published read-only.
+bit-reversal index vectors, the per-grid weight tables and the arc tables
+are cached and published read-only.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -114,6 +151,21 @@ _TINY = np.finfo(np.float64).tiny
 # 4e-15 at N = 2^16, so this margin leaves about six orders of magnitude
 # to spare.
 _MARGIN = 1e-9
+# The cut: each row reads the prefix whose Parseval tail lies below _CUT
+# times a lower bound on max |f|. At 2^-60 it lies far below TIE_BAND and
+# below the transforms' own roundoff; in 216 steps of 10-term f1, f2 and
+# random decompositions at N = 256 ... 65536 on 0:0.1:0.8 and 0:0.05:0.95
+# the cut field stayed within 2.5e-16 of max |f| of the full one.
+_CUT = 2.0 ** -60
+# Samples per cut row: S = min(N, _OVERSAMPLE Q), so a row of Q = 256 is
+# sampled at 4096 points and its arcs hold N / 4096 cells.
+_OVERSAMPLE = 16
+# Roundoff slack of an arc bound, relative and times B^2, B = sum |y_l|
+# (module docstring). On every row of random, real-coefficient, f2-like and
+# z^{N/2-1} inputs at N = 8192 ... 65536 on both grids above, no computed
+# cell exceeded its arc's bound without this slack; the transforms'
+# roundoff, about log2(N) eps B in |f|, is below 1e-14 B^2 in |f|^2.
+_ARC_MARGIN = 1e-9
 
 
 class _Plan(NamedTuple):
@@ -124,43 +176,30 @@ class _Plan(NamedTuple):
     inverse: tuple
 
 
-class _Row(NamedTuple):
-    """One nonzero-radius grid row with prefix length Q.
-
-    `weights` holds the row's scaled r^l for l < Q in natural order, a
-    read-only view of the row's line of :attr:`_Grid.weights`, and `gather`
-    is the bit reversal of Q entries (`_plan(Q).rev`), so the row's
-    transform input is (weights * c[:Q])[gather]. `leaf` is the inverse
-    leaf, pre-twiddled for the stride P = N / Q when the row is pruned, and
-    `stages` the size-N stages that follow it.
-    """
-
-    weights: np.ndarray
-    gather: np.ndarray
-    leaf: np.ndarray
-    stages: tuple
-
-
 class _Grid(NamedTuple):
     """Per-grid tables, all read-only (:func:`_grid_tables`).
 
-    `rows` holds one :class:`_Row` per radius, None at r = 0, and `nonzero`
-    the indices of the other radii. Line k of `weights` holds the weights of
-    radius nonzero[k] in natural order, zero-padded to the longest prefix
-    (at least L = min(_SAMPLES, N) columns) and to a multiple of
-    _SAMPLE_ROWS lines. `moments` stacks its first L columns times 1, l and
-    l^2, so one product with |c| gives B_H, D1 and D2 (module docstring),
-    and `samples` is the L-point inverse DFT matrix, entry [l, u] =
-    e^{+i 2 pi l u / L}. `width` counts the leading weights that are
-    nonzero in some row, at least 1.
+    `rows` holds, per radius, the row's weights for l < Q in natural order,
+    a view of the row's line of `weights`, Q its full width, and None at
+    r = 0; `nonzero` lists the indices of the other radii and `full` their
+    Q. Line k of `weights` holds the weights of radius nonzero[k], zero-padded
+    to the longest prefix (at least L = min(_SAMPLES, N) columns) and to a
+    multiple of _SAMPLE_ROWS lines. `moments` stacks its first L columns
+    times 1, l and l^2, so one product with |c| gives B_H, D1 and D2 (module
+    docstring); `degrees` holds 1, l and l^2 over every column, for the same
+    sums over a cut prefix. `samples` is the L-point inverse DFT matrix,
+    entry [l, u] = e^{+i 2 pi l u / L}. Entry [k, i] of `tails` is the
+    2-norm of line k's weights l >= 2^i, i = 0 ... log2(N).
     """
 
     rows: tuple
     nonzero: np.ndarray
+    full: np.ndarray
     weights: np.ndarray
     moments: np.ndarray
+    degrees: np.ndarray
     samples: np.ndarray
-    width: int
+    tails: np.ndarray
 
 
 def _checked_size(n):
@@ -230,16 +269,16 @@ def _pruned_leaf(p):
 
 
 def _transform(x, out, leaf, stages, scratch):
-    """Transform the bit-reversed row `x` into the row `out` (N,).
+    """Transform the bit-reversed row `x` into the row `out` (S,).
 
-    `x` is (N,) for a full transform, or (Q,) holding the nonzero entries
+    `x` is (S,) for a full transform, or (Q,) holding the nonzero entries
     of a pruned row with a `leaf` from :func:`_pruned_leaf`. The leaf is
     one stacked matmul of fixed-shape tiles, none large enough for BLAS to
     use a second thread (see the module docstring). The `stages` then run
     in place on `out`, which must be C-contiguous: the per-stage reshape
     below must alias it, and numpy returns copies for reshapes of
     non-C-ordered arrays, which would silently discard every update.
-    `scratch` is a flat buffer for the stages, which use its first N / 2
+    `scratch` is a flat buffer for the stages, which use its first S / 2
     entries; it may share memory with `x`, which the leaf has consumed.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
@@ -315,13 +354,12 @@ def _grid_tables(radii, n):
     the running products 1, r, r^2, ... times its output scale. Weights
     below the smallest normal double are set to 0: they add nothing at
     double precision, and subnormal operands would send every butterfly
-    over them down the slow subnormal path. Q is the smallest power of two
-    that is at least the leaf size and covers the last nonzero weight; a row
-    with P = N / Q below the leaf size is not pruned (Q = N, P = 1). Each
-    row's weights are held once, as a row of `weights`, and its
-    :class:`_Row` views the first Q of them.
+    over them down the slow subnormal path. A row's full width Q is the
+    smallest power of two that is at least the leaf size and covers the last
+    nonzero weight, or N when N / Q would fall below the leaf size. Each
+    row's weights are held once, as a line of `weights`, and the row views
+    the first Q of them.
     """
-    plan = _plan(n)
     head = min(_SAMPLES, n)
     prefixes = []
     for s, r in enumerate(radii):
@@ -339,27 +377,64 @@ def _grid_tables(radii, n):
         while q < prefix.size:
             q *= 2
         prefixes.append((s, q if n // q >= _LEAF else n, prefix))
+    m = len(prefixes)
     nonzero = np.array([s for s, _, _ in prefixes], dtype=np.intp)
-    weights = np.zeros((-(-len(prefixes) // _SAMPLE_ROWS) * _SAMPLE_ROWS,
-                        max([head] + [q for _, q, _ in prefixes])))
+    full = np.array([q for _, q, _ in prefixes], dtype=np.intp)
+    weights = np.zeros((-(-m // _SAMPLE_ROWS) * _SAMPLE_ROWS, max([head] + full.tolist())))
     for k, (_, _, prefix) in enumerate(prefixes):
         weights[k, :prefix.size] = prefix
-    moments = np.concatenate([weights[:len(prefixes), :head] * np.arange(head) ** p
-                              for p in range(3)])
+    moments = np.concatenate([weights[:m, :head] * np.arange(head) ** p for p in range(3)])
+    degrees = np.arange(weights.shape[1], dtype=np.float64) ** np.arange(3)[:, None]
     samples = np.exp(2j * np.pi * (np.outer(np.arange(head), np.arange(head)) % head)
                      / head)
+    # suffix[k, l] = ||w_{k, >= l}||_2, then read at l = 2^i; zero past the line.
+    suffix = np.sqrt(np.cumsum(weights[:m, ::-1] ** 2, axis=1)[:, ::-1])
+    points = 2 ** np.arange(n.bit_length())
+    tails = np.zeros((m, points.size))
+    inside = points < weights.shape[1]
+    tails[:, inside] = suffix[:, points[inside]]
     # Before the views below: a view taken earlier would stay writable.
-    _read_only(nonzero, weights, moments, samples)
+    _read_only(nonzero, full, weights, moments, degrees, samples, tails)
     rows = [None] * len(radii)
     for k, (s, q, _) in enumerate(prefixes):
-        p = n // q
-        if p == 1:
-            leaf, stages = plan.inverse
-        else:
-            leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
-        rows[s] = _Row(weights[k, :q], _plan(q).rev, leaf, stages)
-    width = max([1] + [prefix.size for _, _, prefix in prefixes])
-    return _Grid(tuple(rows), nonzero, weights, moments, samples, width)
+        rows[s] = weights[k, :q]
+    return _Grid(tuple(rows), nonzero, full, weights, moments, degrees, samples, tails)
+
+
+@lru_cache(maxsize=64)
+def _sampler(q, size):
+    """Tables of the size-point inverse transform of a q-entry prefix.
+
+    Returns (gather, leaf, stages): the bit reversal of q entries, and the
+    leaf and stages of :func:`_transform`. With P = size / q > 1 the leaf is
+    the stride-P :func:`_pruned_leaf` and the stages are the size-point
+    plan's from span 32 P on; with P = 1 they are the plan's own.
+    """
+    plan = _plan(size)
+    p = size // q
+    if p == 1:
+        leaf, stages = plan.inverse
+    else:
+        leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
+    return _plan(q).rev, leaf, stages
+
+
+@lru_cache(maxsize=64)
+def _refine_tables(size, n, q):
+    """Tables for the exact cells between the samples of a cut row.
+
+    Returns (roots, lags, table): roots[k] = e^{+i 2 pi k / size}, lags the
+    degrees 0 ... q - 1, and table[l, t - 1] = e^{+i 2 pi l t / N} for the
+    offsets t = 1 ... N / size - 1 of a lattice cell from its arc's first
+    sample. Cell u N / size + t of the row sum_l y_l e^{i l theta} is then
+    sum_l y_l roots[l u mod size] table[l, t - 1].
+    """
+    lags = np.arange(q)
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
+    offsets = np.arange(1, n // size)
+    table = np.exp(2j * np.pi * (np.outer(lags, offsets) % n) / n)
+    _read_only(lags, roots, table)
+    return roots, lags, table
 
 
 def _checked_radius(r):
@@ -389,27 +464,28 @@ def weighted_inverse(c, r):
 
 
 class RowStream:
-    """Weighted inverse rows of one grid, computed on demand in one buffer.
+    """Weighted inverse rows of one grid, each read as a short polynomial.
 
-    `RowStream(radii, n).rows(c)` returns the field of the coefficients c.
-    Its `bounds` lists every row's bound on |f|^2 (the module docstring) as
-    floats, in row order, and its `[s]` computes row `s` of
-    :func:`weighted_inverse_grid` for the same c and radii, bit for bit, as
-    an (N,) array. Which rows are computed, and in what order, is the
-    caller's choice. Every row of every field, and the weighted prefix it
-    is transformed from, is written into one (N,) buffer, and every
-    bit-reversed transform input and stage scratch into one more buffer of
-    at most N entries. So a caller that reduces each row as it reads it,
-    such as the selection step, runs field after field over the grid
-    without holding the (M, N) field or allocating either buffer again, but
-    a row is valid only until the next `[s]`, on this field or another of
-    the same stream. The weights and the bound's tables are the grid's one
-    cached :func:`_grid_tables`, shared by every stream of the same radii
-    and size.
+    `RowStream(radii, n).rows(c, energy)` returns the field of the
+    coefficients c, where `energy` is at least (1/N^2) sum |C_l|^2 of the
+    signal whose DFT c carries, C_l its coefficients: its measured energy,
+    by Parseval. Coefficients past a band, which c may leave out as zeros,
+    are bounded through it (the module docstring). The field's `bounds`
+    list every row's bound on |f|^2 as floats, in row order; `cuts` holds
+    each row's cut Q_s, the prefix of c it reads, and `width` the largest,
+    at least L, so c_l for l >= width changes nothing the field computes. Its
+    `cells(s, peak, band)` samples row `s` and returns the lattice cells that
+    can lie within the relative `band` of max(peak, the row's maximum), as
+    ascending angle indices and their values, the row's largest sample among
+    them. Which rows are read, and in what order, is the caller's choice.
 
-    `width` is the count of leading coefficients that any row reads (the
-    grid table's): every weight past it is an exact zero, so c_l for
-    l >= width changes no row and no bound.
+    Every row's samples are written into one (N,) buffer, its weighted
+    prefix into one more and its bit-reversed transform input and stage
+    scratch into a third, so a caller that reduces each row's cells as it
+    reads them, such as the selection step, runs field after field without
+    holding the (M, N) field or allocating any of these again. The weights
+    and the bound's tables are the grid's one cached :func:`_grid_tables`,
+    shared by every stream of the same radii and size.
     """
 
     def __init__(self, radii, n):
@@ -418,86 +494,154 @@ class RowStream:
         if not radii:
             raise ValueError("need at least one radius")
         self._grid = _grid_tables(radii, n)
-        self.width = self._grid.width
+        width = self._grid.weights.shape[1]
         self._buffer = np.empty(n, dtype=np.complex128)
-        self._work = np.empty(max(n // 2, self._grid.weights.shape[1]), dtype=np.complex128)
+        self._prefix = np.empty(width, dtype=np.complex128)
+        self._work = np.empty(max(n // 2, width), dtype=np.complex128)
 
-    def rows(self, c):
+    def rows(self, c, energy):
         """The field of the coefficients c, rows on demand (see the class)."""
         c, n = _checked_length(c)
         if n != self._buffer.shape[0]:
             raise ValueError("coefficient length %d does not match the stream's %d"
                              % (n, self._buffer.shape[0]))
-        return _Field(self, np.asarray(c, dtype=np.complex128))
+        return _Field(self, np.asarray(c, dtype=np.complex128), float(energy))
 
-    def _row_bounds(self, c):
-        """Every row's bound U on |f|^2 (see the module docstring), row order."""
+    def _row_bounds(self, c, energy):
+        """Every row's bound U on |f|^2 and cut Q (module docstring), row order."""
         n = c.shape[0]
         head = min(_SAMPLES, n)
         grid = self._grid
-        weights = grid.weights
+        weights, tails = grid.weights, grid.tails
         m = grid.nonzero.shape[0]
-        magnitude = np.abs(c[:weights.shape[1]])
+        norm = n * math.sqrt(energy)  # Parseval: at least ||C||_2
         y = weights[:, :head] * c[:head]
         samples = np.matmul(y.reshape(-1, _SAMPLE_ROWS, head), grid.samples)
-        peak = np.abs(samples).max(axis=2).reshape(-1)[:m] ** 2
+        largest = np.abs(samples).max(axis=2).reshape(-1)[:m]
+        peak = largest ** 2
+        value = c[0] / n
+        # r = 0 rows: the exact |f|^2, squared as the selection squares it
+        bounds = np.full(len(grid.rows), value.real ** 2 + value.imag ** 2)
+        cuts = np.ones(len(grid.rows), dtype=np.intp)
+        # L: each head sample is a lattice value of its row, less its tail.
+        omitted = tails[:, head.bit_length() - 1:] * norm
+        low = (largest - omitted[:, 0]).max(initial=0.0)
+        if m < len(grid.rows):
+            low = max(low, abs(value))
+        # The first power of two whose tail fits; past the last nonzero
+        # weight every tail is 0, so each row has one.
+        cuts[grid.nonzero] = np.minimum(head << (omitted <= _CUT * low).argmax(axis=1),
+                                        grid.full)
+        q = max(int(cuts.max()), head)
+        magnitude = np.abs(c[:q])
         b_head, d1, d2 = (grid.moments @ magnitude[:head]).reshape(3, m)
-        tail = weights[:m, head:] @ magnitude[head:]
+        tail = weights[:m, head:q] @ magnitude[head:] + norm * tails[:, q.bit_length() - 1]
         total = b_head + tail
         curvature = (np.pi / head) ** 2 * (d2 * b_head + d1 * d1)
         sampled = ((np.sqrt(peak + curvature) + tail + 2 * head * _TINY) ** 2
                    * (1.0 + _MARGIN) + _MARGIN * total ** 2)
-        value = c[0] / n
-        # r = 0 rows: the exact |f|^2, squared as the selection squares it
-        bounds = np.full(len(grid.rows), value.real ** 2 + value.imag ** 2)
         bounds[grid.nonzero] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
-        return bounds
+        return bounds, cuts, q
 
-    def _row(self, c, s, out):
-        """Write row `s` of the field of c into `out`, a C-contiguous (N,) array."""
-        n = c.shape[0]
-        row = self._grid.rows[s]
-        if row is None:
-            out[...] = c[0] / n
-            return out
-        # The weighted prefix goes into the front of `out`, which the
-        # transform overwrites, and its bit reversal into the work buffer.
-        # mode="clip" lets take write there directly; the default mode
-        # writes through a copy so that a bad index leaves `out` untouched.
-        q = row.weights.shape[0]
-        y = np.take(np.multiply(row.weights, c[:q], out=out[:q]), row.gather,
-                    out=self._work[:q], mode="clip")
-        if q < n:
+    def _sample(self, c, s, q, size, out):
+        """Write the size-point samples of row `s` cut at `q` into `out`.
+
+        `out` is a C-contiguous (size,) array. Returns it and the weighted
+        prefix y, which stays valid until the next call. With q < size the
+        subnormal parts of y are set to zero first (module docstring).
+        """
+        y = np.multiply(self._grid.rows[s][:q], c[:q], out=self._prefix[:q])
+        if q < size:
             parts = y.view(np.float64)
             parts[np.abs(parts) < _TINY] = 0.0
-        return _transform(y, out, row.leaf, row.stages, self._work)
+        gather, leaf, stages = _sampler(q, size)
+        # mode="clip" lets take write into the work buffer directly; the
+        # default mode writes through a copy so that a bad index leaves it
+        # untouched.
+        x = np.take(y, gather, out=self._work[:q], mode="clip")
+        return _transform(x, out, leaf, stages, self._work), y
+
+    def _arcs(self, c, s, q):
+        """Row `s` cut at `q`: its samples, their |f|^2, and each arc's bound.
+
+        Arc u holds the lattice cells from sample u up to sample u + 1
+        (cyclically); its bound covers the |f|^2 of every one of them
+        (module docstring). When S = N an arc is its one sample.
+        """
+        n = c.shape[0]
+        size = min(n, _OVERSAMPLE * q)
+        samples, y = self._sample(c, s, q, size, self._buffer[:size])
+        power = samples.real ** 2
+        power += samples.imag ** 2
+        if size == n:
+            return samples, power, power, y
+        total, d1, d2 = self._grid.degrees[:, :q] @ np.abs(y)
+        curvature = (np.pi / size) ** 2 * (d1 * d1 + total * d2)
+        reach = np.maximum(power, np.roll(power, -1))
+        reach += curvature
+        reach *= 1.0 + _ARC_MARGIN
+        reach += _ARC_MARGIN * total ** 2 + 2 * q * _TINY
+        return samples, power, reach, y
+
+    def _cells(self, c, s, q, peak, band):
+        """The cells of row `s`, cut at `q`, that can reach the band: see the class."""
+        n = c.shape[0]
+        if self._grid.rows[s] is None:
+            # Every cell of an r = 0 row holds c_0 / N: cell 0 is its pick.
+            return _FIRST, np.full(1, c[0] / n)
+        samples, power, reach, y = self._arcs(c, s, q)
+        u = int(power.argmax())
+        level = (1.0 - band) * max(peak, power[u])
+        # level <= 0: every sample is 0, so the row, of degree below S, is 0.
+        hit = reach >= level if level > 0.0 else np.zeros(power.shape, dtype=bool)
+        hit[u] = True  # the largest sample, NaN included
+        arcs = np.flatnonzero(hit)
+        spacing = n // samples.shape[0]
+        if spacing == 1:  # the samples are the row
+            return arcs, samples[arcs]
+        cells = np.empty((arcs.size, 1, spacing), dtype=np.complex128)
+        cells[:, 0, 0] = samples[arcs]
+        roots, lags, table = _refine_tables(samples.shape[0], n, q)
+        z = y * roots[np.multiply.outer(arcs, lags) % samples.shape[0]]
+        # One product per arc, so a cell's bits do not depend on how many
+        # arcs are refined with it.
+        np.matmul(z[:, None, :], table, out=cells[:, :, 1:])
+        j = (arcs * spacing)[:, None] + np.arange(spacing)
+        return j.reshape(-1), cells.reshape(-1)
+
+
+_FIRST = np.zeros(1, dtype=np.intp)
+_read_only(_FIRST)
 
 
 class _Field:
     """The field of one coefficient vector c: see :meth:`RowStream.rows`."""
 
-    def __init__(self, stream, c):
+    def __init__(self, stream, c, energy):
         self._stream, self._c = stream, c
-        self.bounds = stream._row_bounds(c).tolist()
+        bounds, cuts, self.width = stream._row_bounds(c, energy)
+        self.bounds, self.cuts = bounds.tolist(), cuts.tolist()
 
-    def __getitem__(self, s):
-        return self._stream._row(self._c, s, self._stream._buffer)
+    def cells(self, s, peak, band):
+        return self._stream._cells(self._c, s, self.cuts[s], peak, band)
 
 
 def weighted_inverse_grid(c, radii):
     """Weighted inverse rows for every radius in `radii`, as an (M, N) array.
 
-    Each row transforms only its nonzero weight prefix of length Q (see
-    :func:`_grid_tables`); a pruned row's weighted prefix has its
-    subnormal parts set to zero first. At r = 0 only the l = 0 term
-    survives, and the row is the constant c_0 / N. `out[s]` is row `s` of
-    a :class:`RowStream` field, computed in place, and each row is
-    identical to a single-radius call.
+    Each row transforms its full nonzero weight prefix of length Q (see
+    :func:`_grid_tables`); a pruned row's weighted prefix has its subnormal
+    parts set to zero first. At r = 0 only the l = 0 term survives, and the
+    row is the constant c_0 / N. Each row is identical to a single-radius
+    call. This is the full-width reference: no row is cut.
     """
     c, n = _checked_length(c)
     c = np.asarray(c, dtype=np.complex128)
     stream = RowStream(radii, n)
     out = np.empty((len(stream._grid.rows), n), dtype=np.complex128)
-    for s in range(out.shape[0]):
-        stream._row(c, s, out[s])
+    for s, weights in enumerate(stream._grid.rows):
+        if weights is None:
+            out[s] = c[0] / n
+        else:
+            stream._sample(c, s, weights.shape[0], n, out[s])
     return out

@@ -212,6 +212,25 @@ def test_reconstruct_reports_a_signal_too_large_to_hold(tmp_path, capsys, monkey
     assert "error: no memory for a signal of 256 samples" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_a_signal_larger_than_physical_memory(tmp_path, capsys,
+                                                                  monkeypatch):
+    # The length is checked against physical memory before anything is
+    # allocated: a claim that fits in virtual memory alone is rejected too.
+    doc_path = _decompose(tmp_path, _synth(tmp_path))
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 256 * cli.RECONSTRUCT_BYTES - 1)
+
+    def allocating(d, terms):
+        raise AssertionError("reconstruct ran")
+
+    monkeypatch.setattr(core, "reconstruct", allocating)
+    code = cli.run_command(["reconstruct", "--input", str(doc_path), "--terms", "1",
+                            "--output", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "256 samples" in err and "physical memory" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_document_validation_round_trip(tmp_path):
     doc_path = _decompose(tmp_path, _synth(tmp_path))
     doc = json.loads(doc_path.read_text())

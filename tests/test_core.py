@@ -228,6 +228,33 @@ def _full_pick(c, grid):
     return core.maximal_selection(core.inner_product_field(c, grid), grid)
 
 
+def _energy(c):
+    # The energy of the signal whose DFT is c, by Parseval.
+    return float(np.vdot(c, c).real) / c.shape[0] ** 2
+
+
+def _stream_field(c, grid):
+    return transform.RowStream(grid.radii, grid.angular_count).rows(c, _energy(c))
+
+
+# Largest relative distance allowed between a coefficient picked from a cut
+# row and the full-width field's value at the same cell: the scale of
+# cli.ERRORS_TOL, far above roundoff and the cut's 2^-60.
+COEFF_TOL = 1e-10
+
+
+def _assert_in_full_band(pick, c, grid):
+    # The pick lies in the tie band of the full-width field of c, and its
+    # coefficient is that field's value there, to COEFF_TOL.
+    field = core.inner_product_field(c, grid)
+    magnitude = field.real ** 2 + field.imag ** 2
+    point, coeff = pick
+    s = grid.radii.index(point.radius)
+    assert magnitude[s, point.angle_index] >= (1.0 - core.TIE_BAND) * magnitude.max()
+    value = field[s, point.angle_index]
+    assert abs(coeff - value) <= COEFF_TOL * abs(value)
+
+
 def _assert_same_pick(a, b):
     assert a[0] == b[0]
     # Bit-equal coefficients: compare the parts' bits, not their values.
@@ -237,36 +264,43 @@ def _assert_same_pick(a, b):
 
 @contextlib.contextmanager
 def _spied_coefficients():
-    """Collect a copy of the coefficients of every RowStream.rows call.
+    """Collect (coefficients, energy, width) of every field decompose selects on.
 
     decompose hands the stream the coefficients its fields are built from:
     a forward DFT of the remainder, or the spectral band it carries from
-    step to step, zero-padded.
+    step to step, zero-padded, with the remainder's measured energy. A band
+    whose field would read past it is not selected on; a DFT follows.
     """
-    seen = []
-    rows = transform.RowStream.rows
+    seen, made = [], {}
+    rows, select = transform.RowStream.rows, core.maximal_selection
 
-    def spy(self, c):
-        seen.append(np.array(c))
-        return rows(self, c)
+    def spy_rows(self, c, energy):
+        field = rows(self, c, energy)
+        made[id(field)] = (np.array(c), energy, field.width)
+        return field
 
-    transform.RowStream.rows = spy
+    def spy_select(field, grid):
+        seen.append(made.pop(id(field)))
+        return select(field, grid)
+
+    transform.RowStream.rows, core.maximal_selection = spy_rows, spy_select
     try:
         yield seen
     finally:
-        transform.RowStream.rows = rows
+        transform.RowStream.rows, core.maximal_selection = rows, select
 
 
 def _assert_replayed_picks(d, seen, grid, dc_first):
-    # Each field's coefficients, replayed through a fresh stream and through
-    # the full field, give the step's point and coefficient, bit for bit.
+    # Each field's coefficients, replayed through a fresh stream, give the
+    # step's point and coefficient bit for bit; the pick lies in the tie
+    # band of the full-width field of the same coefficients.
     adaptive = d.steps[1:] if dc_first else d.steps
     assert len(seen) == len(adaptive)
     stream = transform.RowStream(grid.radii, grid.angular_count)
-    for c, step in zip(seen, adaptive):
-        streamed = core.maximal_selection(stream.rows(c), grid)
-        _assert_same_pick(streamed, _full_pick(c, grid))
+    for (c, energy, _), step in zip(seen, adaptive):
+        streamed = core.maximal_selection(stream.rows(c, energy), grid)
         _assert_same_pick(streamed, (step.point, step.coefficient))
+        _assert_in_full_band(streamed, c, grid)
 
 
 @pytest.mark.parametrize("kind", ["f1", "f2", "random"])
@@ -278,16 +312,17 @@ def test_streamed_selection_matches_full_field_every_step(kind, best_first_order
     g = {"f1": signals.synth_f1, "f2": signals.synth_f2,
          "random": lambda n: _random_hardy(n, seed=3)}[kind](n)
     c = core.spectral_coefficients(g)
-    field = _FieldOnDemand(transform.RowStream(grid.radii, n).rows(c))
-    _assert_same_pick(core.maximal_selection(field, grid), _full_pick(c, grid))
+    field = _FieldOnDemand(_stream_field(c, grid))
+    pick = core.maximal_selection(field, grid)
+    assert pick[0] == _full_pick(c, grid)[0]
+    _assert_in_full_band(pick, c, grid)
     assert field.read == best_first_order(c, grid.radii)[:len(field.read)]
     with _spied_coefficients() as seen:
         d = core.decompose(g, grid, max_terms=10)
     assert len(d) == 10
-    # The first field reads the DFT of the signal itself, zero-padded past
-    # the band it starts.
-    band = np.flatnonzero(seen[0])[-1] + 1
-    assert band < n and np.array_equal(seen[0][:band], c[:band])
+    # The first field reads the DFT of the signal itself; a band follows.
+    assert np.array_equal(seen[0][0], c)
+    assert not seen[1][0][-1]
     _assert_replayed_picks(d, seen, grid, dc_first=False)
 
 
@@ -308,8 +343,9 @@ def test_streamed_selection_keeps_the_exact_tie_of_f2():
     magnitude = field.real ** 2 + field.imag ** 2
     band = np.argwhere(magnitude >= (1.0 - core.TIE_BAND) * magnitude.max())
     assert band.tolist() == [[8, 0], [8, n // 2]]
-    streamed = core.maximal_selection(transform.RowStream(grid.radii, n).rows(c), grid)
-    _assert_same_pick(streamed, _full_pick(c, grid))
+    streamed = core.maximal_selection(_stream_field(c, grid), grid)
+    assert streamed[0] == _full_pick(c, grid)[0]
+    _assert_in_full_band(streamed, c, grid)
     assert (streamed[0].radius, streamed[0].angle_index) == (0.8, 0)
     assert d.steps[2].point == streamed[0]
 
@@ -336,17 +372,20 @@ def test_streamed_selection_ties_break_row_major_across_rows():
 class _FieldOnDemand:
     """A field with rows on demand that records which rows are read.
 
-    Row s is `rows[s]`. `bounds` defaults to `rows.bounds`, for `rows` a
-    field with rows on demand itself.
+    The cells of row s are those of `rows`, for `rows` a field with rows on
+    demand itself, whose `bounds` are then the default; otherwise they are
+    the 8 cells of `rows[s]`.
     """
 
     def __init__(self, rows, bounds=None):
         self._rows, self.read = rows, []
         self.bounds = rows.bounds if bounds is None else bounds
 
-    def __getitem__(self, s):
+    def cells(self, s, peak, band):
         self.read.append(s)
-        return self._rows[s]
+        if hasattr(self._rows, "cells"):
+            return self._rows.cells(s, peak, band)
+        return np.arange(8), self._rows[s]
 
 
 def test_streamed_selection_reads_rows_in_decreasing_bound():
@@ -476,14 +515,48 @@ def test_skipping_selection_is_exact(n, grid_kind, kind, seed, dc_first):
         d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
     _assert_replayed_picks(d, seen, grid, dc_first)
     if n <= 1024:
-        # Every weight of the outermost row is nonzero, so no band fits:
-        # each field reads the DFT of the remainder, bit for bit.
+        # Each field reads, up to its width, the DFT of the remainder: bit
+        # for bit where the step took a DFT, to BAND_TOL where it carried a
+        # band.
         fields = iter(seen)
+        scale = np.max(np.abs(transform.dft_forward(g)))
         remainder = g
         for k, step in enumerate(d.steps):
             if k > 0 or not dc_first:
-                assert np.array_equal(next(fields), core.spectral_coefficients(remainder))
+                c, _, width = next(fields)
+                exact = core.spectral_coefficients(remainder)
+                assert np.max(np.abs(c[:width] - exact[:width])) <= BAND_TOL * scale
+                if c[-1]:  # a DFT fills the buffer; a band leaves C[N-1] out
+                    assert np.array_equal(c, exact)
             remainder = core.remainder_update(remainder, step.point, step.coefficient)
+
+
+def _picks_corpus():
+    # The scripts/picks.py corpus at N <= 4096, fft engine, and its random
+    # signal at N = 65536 on the standard grid.
+    grids = (core.radius_range(0.0, 0.1, 0.8), core.radius_range(0.0, 0.025, 0.8))
+    for n in [2 ** k for k in range(3, 13)] + [65536]:
+        g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=7)
+        cases = {"random": g} if n == 65536 else {
+            "f1": signals.synth_f1(n), "f2": signals.synth_f2(n), "random": g,
+            "real coefficient": _real_coefficient(g)}
+        for name, signal in cases.items():
+            for radii in grids[:1] if n == 65536 else grids:
+                for dc_first in (True, False):
+                    yield n, name, core.ParameterGrid(radii, n), signal, dc_first
+
+
+def test_fft_picks_lie_in_the_full_field_tie_band():
+    # Every fft pick of the corpus reaches the tie band of the full-width
+    # field of the coefficients it was selected from, and its coefficient
+    # is that field's value there, to COEFF_TOL.
+    for n, name, grid, g, dc_first in _picks_corpus():
+        with _spied_coefficients() as seen:
+            d = core.decompose(g, grid, max_terms=10, dc_first=dc_first)
+        adaptive = d.steps[1:] if dc_first else d.steps
+        assert len(seen) == len(adaptive), (n, name)
+        for (c, _, _), step in zip(seen, adaptive):
+            _assert_in_full_band((step.point, step.coefficient), c, grid)
 
 
 # Largest distance allowed between the spectral band a decomposition carries
@@ -501,12 +574,12 @@ BAND_TOL = 1e-12
        kind=st.sampled_from(["random", "real coefficient", "f1", "f2"]),
        seed=st.integers(0, 2 ** 32 - 1), dc_first=st.booleans())
 def test_spectral_band_tracks_the_remainder(terms, grid_kind, n, kind, seed, dc_first):
-    # Where a field reads them (l below the grid's nonzero weight count),
-    # the coefficients decompose passes to the stream stay within BAND_TOL
-    # of the DFT of the remainder it carries in the time domain.
+    # Where a field reads them (l below its width), the coefficients
+    # decompose passes to the stream stay within BAND_TOL of the DFT of the
+    # remainder it carries in the time domain, and the energy it passes is
+    # that remainder's.
     grid = _exactness_grid(grid_kind, n)
     g = _exactness_signal(kind, n, seed)
-    width = transform.RowStream(grid.radii, n).width
     with _spied_coefficients() as seen:
         d = core.decompose(g, grid, max_terms=terms, dc_first=dc_first)
     scale = np.max(np.abs(transform.dft_forward(g)))
@@ -515,17 +588,19 @@ def test_spectral_band_tracks_the_remainder(terms, grid_kind, n, kind, seed, dc_
     for k, step in enumerate(d.steps):
         if k > 0 or not dc_first:
             exact = transform.dft_forward(remainder)
-            c = next(fields)
+            c, energy, width = next(fields)
             assert np.max(np.abs(c[:width] - exact[:width])) <= BAND_TOL * scale
+            assert energy == core.discrete_energy(remainder)
         remainder = core.remainder_update(remainder, step.point, step.coefficient)
 
 
-@pytest.mark.parametrize("n, transforms", [(1024, 9), (65536, 1)])
+@pytest.mark.parametrize("n, transforms", [(1024, 3), (4096, 1), (65536, 1)])
 def test_decompose_takes_one_forward_dft_at_the_top_size(monkeypatch, n, transforms):
-    # A 10-term dc-first decompose evaluates 9 fields. At N = 65536 one DFT
-    # of the remainder after the dc step carries a band for all of them; at
-    # N = 1024 every weight of the r = 0.8 row is nonzero, so no band fits
-    # and each field takes its own DFT.
+    # A 10-term dc-first decompose evaluates 9 fields. Each reads 256
+    # coefficients on the standard grid, and each step costs the band
+    # D = 256 more. From N = 4096 on, one DFT of the remainder after the dc
+    # step carries a band for all of them; at N = 1024 a band of N - 1
+    # entries serves three fields.
     forward = transform.dft_forward
     calls = 0
 

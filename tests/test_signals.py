@@ -178,3 +178,39 @@ def test_csv_load_header_only_reports_no_samples(tmp_path, recwarn):
     with pytest.raises(ValueError, match="no samples"):
         signals.load_signal_csv(path)
     assert len(recwarn) == 0
+
+
+def test_csv_load_whitespace_only_line_changes_nothing(tmp_path):
+    # A whitespace-only line sends the reader to its second pass; the array
+    # is the one the same file gives without that line.
+    g = signals.synth_random_hardy(64, seed=5)
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    signals.save_signal_csv(plain, g)
+    lines = plain.read_text().splitlines()
+    spaced.write_text("\n".join(lines[:10] + [" \t "] + lines[10:]) + "\n")
+    expected = signals.load_signal_csv(plain)
+    loaded = signals.load_signal_csv(spaced)
+    assert np.array_equal(loaded.view(np.uint64), expected.view(np.uint64))
+
+
+def _save_per_line(path, g):
+    # The writer as it was: one format per sample over numpy scalars.
+    g = np.asarray(g, dtype=np.complex128)
+    lines = [signals.CSV_HEADER]
+    for m, v in enumerate(g):
+        lines.append("%d,%.17g,%.17g" % (m, v.real, v.imag))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_csv_save_matches_the_per_line_writer_byte_for_byte(tmp_path):
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0),
+                        complex(tiny / 8, -tiny / 3), complex(5e-324, -5e-324),
+                        complex(1e308, -1e308), complex(-1.7976931348623157e308, 1e-308),
+                        complex(0.1, 1.0 / 3.0)])
+    for g in (special, signals.synth_random_hardy(1024, seed=9), special[:0]):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        signals.save_signal_csv(fast, g)
+        _save_per_line(slow, g)
+        assert fast.read_bytes() == slow.read_bytes()

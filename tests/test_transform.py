@@ -9,7 +9,7 @@ values frozen as closed forms are derived in the comments next to them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fastafd import core, oracle, signals, transform
@@ -221,7 +221,7 @@ def test_grid_rows_match_single_radius_calls():
 
 def _row_strides(radii, n):
     # (row, P) per nonzero-radius row; P = N / Q is the row's pruning stride.
-    return [(s, n // row.gather.shape[0])
+    return [(s, n // row.shape[0])
             for s, row in enumerate(transform._grid_tables(radii, n).rows) if row is not None]
 
 
@@ -247,6 +247,31 @@ def test_grid_zero_radius_row_between_others():
     assert np.array_equal(rows[2], transform.weighted_inverse(c, 0.5))
 
 
+def _energy(c):
+    # The energy of the signal whose DFT is c, by Parseval.
+    return float(np.vdot(c, c).real) / c.shape[0] ** 2
+
+
+def _cut_rows(stream, field, c):
+    # Every row of the field as the selection's cut sees it, on the whole
+    # lattice: an N-point transform of each row's cut prefix.
+    n = c.shape[0]
+    rows = np.full((len(field.cuts), n), c[0] / n)
+    for s, q in enumerate(field.cuts):
+        if stream._grid.rows[s] is not None:
+            stream._sample(c, s, q, n, rows[s])
+    return rows
+
+
+def _roundoff(c, radii):
+    # A transform's roundoff scale per row: log2(N) eps times the row's
+    # triangle norm sum_l |w_l c_l| (Higham, ch. 24), times a safety of 8.
+    n = c.shape[0]
+    rows = transform._grid_tables(tuple(radii), n).rows
+    norms = [abs(c[0] / n) if w is None else np.abs(w * c[:w.shape[0]]).sum() for w in rows]
+    return 8 * np.log2(n) * np.finfo(np.float64).eps * np.array(norms)
+
+
 @pytest.mark.parametrize("n, radii", [
     (32, (0.3, 0.0, 0.5)),                           # r = 0 between two rows
     (1024, tuple(k / 10 for k in range(9))),
@@ -255,19 +280,23 @@ def test_grid_zero_radius_row_between_others():
 ])
 def test_row_stream_matches_grid_rows(n, radii, best_first_order):
     # One stream serves field after field: each field's bounds put its rows
-    # in the best-first order, and its (N,) rows, read in that order, are
-    # bit-identical to the (M, N) grid of the same coefficients.
+    # in the best-first order, and each row's cells, read in that order,
+    # hold the full-width grid row's values at their angle indices, to the
+    # cut and roundoff, the row's largest |f|^2 among them.
     stream = transform.RowStream(radii, n)
     for seed in (21, 22):
         c = transform.dft_forward(_random_complex(n, seed=seed))
         expected = transform.weighted_inverse_grid(c, radii)
-        field = stream.rows(c)
+        tol = 2.0 ** -60 * np.abs(expected).max() + _roundoff(c, radii)
+        field = stream.rows(c, _energy(c))
         order = best_first_order(c, radii)
         assert sorted(range(len(radii)), key=lambda s: -field.bounds[s]) == order
         for s in order:
-            row = field[s]
-            assert row.shape == (n,)
-            assert np.array_equal(row, expected[s])
+            j, cells = field.cells(s, -np.inf, core.TIE_BAND)
+            assert j.shape == cells.shape and np.all(np.diff(j) > 0)
+            assert np.max(np.abs(cells - expected[s, j])) <= tol[s]
+            top = np.abs(expected[s]).max()
+            assert np.abs(cells).max() >= top - 2 * tol[s]
 
 
 def _row_maxima(c, radii):
@@ -277,10 +306,11 @@ def _row_maxima(c, radii):
 
 
 def test_row_stream_computes_rows_on_demand(monkeypatch):
-    # rows(c) bounds every row and transforms none; each [s] then computes
-    # row s alone, into the stream's one buffer. The bounds are floats, one
-    # a row, each at least the row's max |f|^2; the r = 0 row's bound is its
-    # exact value, and the row takes no transform.
+    # rows(c, energy) bounds every row and transforms none; each cells(s)
+    # then samples row s alone, with one transform into the stream's
+    # buffer. The bounds are floats, one a row, each at least the row's max
+    # |f|^2; the r = 0 row's bound is its exact value, and its one cell,
+    # angle 0, takes no transform.
     n = 16384
     radii = tuple(k / 10 for k in range(9))
     c = transform.dft_forward(_random_complex(n, seed=23))
@@ -294,14 +324,16 @@ def test_row_stream_computes_rows_on_demand(monkeypatch):
         return transform_row(*args)
 
     monkeypatch.setattr(transform, "_transform", counting)
-    field = transform.RowStream(radii, n).rows(c)
+    field = transform.RowStream(radii, n).rows(c, _energy(c))
     assert calls == []
     assert [type(bound) for bound in field.bounds] == [float] * len(radii)
     assert all(bound >= t for bound, t in zip(field.bounds, top))
     assert field.bounds[0] == top[0]
-    row = field[5]
-    assert len(calls) == 1 and np.array_equal(row, expected[5])
-    assert field[0] is row and np.array_equal(row, expected[0])
+    j, cells = field.cells(5, -np.inf, core.TIE_BAND)
+    assert len(calls) == 1
+    assert np.max(np.abs(cells - expected[5, j])) <= 1e-13 * np.abs(expected[5]).max()
+    j, cells = field.cells(0, -np.inf, core.TIE_BAND)
+    assert j.tolist() == [0] and cells[0] == expected[0, 0]
     assert len(calls) == 1
 
 
@@ -325,13 +357,62 @@ def _bound_test_coefficients(kind, n, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_row_bounds_hold_on_every_row(k, radii, kind, seed):
     # Each row's bound must reach the row's computed maximum |f|^2, wherever
-    # on the lattice that maximum lies.
+    # on the lattice that maximum lies: on the full-width row, and on the
+    # row cut as the selection reads it.
     n = 2 ** k
     c = _bound_test_coefficients(kind, n, seed)
-    top = _row_maxima(c, radii)
-    bounds = transform.RowStream(radii, n).rows(c).bounds
+    stream = transform.RowStream(radii, n)
+    field = stream.rows(c, _energy(c))
+    bounds = field.bounds
+    cut = _cut_rows(stream, field, c)
     assert len(bounds) == len(radii)
-    assert all(bound >= t for bound, t in zip(bounds, top))
+    for top in (_row_maxima(c, radii), (cut.real ** 2 + cut.imag ** 2).max(axis=1)):
+        assert all(bound >= t for bound, t in zip(bounds, top))
+
+
+# The three input kinds of the cut and arc properties.
+_PROPERTY_KINDS = ["random", "real coefficient", "top mode"]
+
+
+def _property_grid(fine):
+    return core.radius_range(0.0, 0.05, 0.95) if fine else core.radius_range(0.0, 0.1, 0.8)
+
+
+@settings(max_examples=24, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(k=st.integers(3, 16), fine=st.booleans(), kind=st.sampled_from(_PROPERTY_KINDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cut_rows_stay_within_the_cut_of_the_full_rows(k, fine, kind, seed):
+    # Every row, cut where the field cuts it, lies within 2^-60 max |f| of
+    # the full-width row on the whole lattice, plus the two transforms'
+    # roundoff: the Parseval tail certifies what the cut leaves out.
+    n = 2 ** k
+    radii = _property_grid(fine)
+    c = _bound_test_coefficients(kind, n, seed)
+    stream = transform.RowStream(radii, n)
+    field = stream.rows(c, _energy(c))
+    full = transform.weighted_inverse_grid(c, radii)
+    gap = np.abs(_cut_rows(stream, field, c) - full).max(axis=1)
+    assert np.all(gap <= 2.0 ** -60 * np.abs(full).max() + _roundoff(c, radii))
+
+
+@settings(max_examples=12, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(k=st.integers(13, 16), fine=st.booleans(), kind=st.sampled_from(_PROPERTY_KINDS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_arc_bounds_hold_on_every_cell(k, fine, kind, seed):
+    # Each arc's bound reaches the |f|^2 of every lattice cell on it, the
+    # cells computed as an N-point transform of the cut prefix.
+    n = 2 ** k
+    radii = _property_grid(fine)
+    c = _bound_test_coefficients(kind, n, seed)
+    stream = transform.RowStream(radii, n)
+    field = stream.rows(c, _energy(c))
+    cut = _cut_rows(stream, field, c)
+    for s, q in enumerate(field.cuts):
+        if stream._grid.rows[s] is None:
+            continue
+        _, _, reach, _ = stream._arcs(c, s, q)
+        cells = (cut[s].real ** 2 + cut[s].imag ** 2).reshape(reach.shape[0], -1)
+        assert np.all(cells <= reach[:, None])
 
 
 def test_row_stream_domain_errors():
@@ -342,7 +423,7 @@ def test_row_stream_domain_errors():
     with pytest.raises(ValueError):
         transform.RowStream((1.0,), 64)
     with pytest.raises(ValueError):
-        transform.RowStream((0.5,), 64).rows(np.ones(32, dtype=np.complex128))
+        transform.RowStream((0.5,), 64).rows(np.ones(32, dtype=np.complex128), 1.0)
 
 
 def test_grid_tables_hold_no_subnormal_weights():
@@ -355,7 +436,7 @@ def test_grid_tables_hold_no_subnormal_weights():
     assert [s for s, _ in layout] == list(range(1, 9))  # r = 0 has no table
     assert all(p == 1 or p >= 16 for _, p in layout)
     tiny = np.finfo(np.float64).tiny
-    for weights in [row.weights for row in grid.rows[1:]] + [grid.weights]:
+    for weights in list(grid.rows[1:]) + [grid.weights]:
         assert not np.any((weights > 0.0) & (weights < tiny))
         assert np.all(weights >= 0.0)
 
@@ -368,19 +449,22 @@ def test_cached_tables_are_read_only():
     plan = transform._plan(n)
     grid = transform._grid_tables(radii, n)
     tables = [plan.rev, plan.forward[0], *plan.forward[1], plan.inverse[0],
-              *plan.inverse[1], transform._pruned_leaf(16), grid.nonzero, grid.weights,
-              grid.moments, grid.samples, core._circle(n), oracle._kernel_rows(radii, n)]
-    for row in grid.rows[1:]:
+              *plan.inverse[1], transform._pruned_leaf(16), grid.nonzero, grid.full,
+              grid.weights, grid.moments, grid.degrees, grid.samples, grid.tails,
+              *transform._refine_tables(4096, n, 256), transform._FIRST,
+              core._circle(n), oracle._kernel_rows(radii, n)]
+    for row, q in zip(grid.rows[1:], grid.full):
         # A row's weights are a view of the grid's one weight matrix.
-        assert np.shares_memory(row.weights, grid.weights)
-        tables += [row.weights, row.gather, row.leaf, *row.stages]
+        assert np.shares_memory(row, grid.weights)
+        gather, leaf, stages = transform._sampler(int(q), n)
+        tables += [row, gather, leaf, *stages]
     assert [table.flags.writeable for table in tables] == [False] * len(tables)
 
 
 def _last_weight_index(r, n):
     # Largest l whose scaled weight r^l sqrt(1-r^2)/(N(1-r^N)) is normal.
     (row,) = transform._grid_tables((r,), n).rows
-    return int(np.flatnonzero(row.weights).max())
+    return int(np.flatnonzero(row).max())
 
 
 @pytest.mark.parametrize("r", [k / 10 for k in range(1, 9)])
