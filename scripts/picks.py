@@ -63,5 +63,20 @@ def digest(sizes=SIZES):
     return m.hexdigest()
 
 
+def pole_digest(sizes=SIZES):
+    """Hex SHA-256 of the corpus's pole sequences at the given sizes.
+
+    Per decomposition it takes repr(key) and each step's (radius, angle
+    index) packed as struct '<dq', so it pins the picks but no roundoff
+    bits of the coefficients, energies or remainder.
+    """
+    m = hashlib.sha256()
+    for key, steps, _ in corpus(sizes):
+        m.update(repr(key).encode())
+        for step in steps:
+            m.update(struct.pack("<dq", *step[:2]))
+    return m.hexdigest()
+
+
 if __name__ == "__main__":
     print(digest())

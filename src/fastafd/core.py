@@ -45,6 +45,7 @@ measured energy is each step's residual, independent of the band.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -501,7 +502,8 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
     grid : ParameterGrid
         Candidate poles; grid.angular_count must equal len(g).
     max_terms : int
-        Maximum number of atoms, >= 1.
+        Maximum number of atoms, >= 1; an integer (any type with
+        ``__index__``), so a float or a string raises TypeError.
     threshold : float, optional
         Relative-energy stopping level in (0, 1].
     engine : {"fft", "direct"}
@@ -536,6 +538,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
                          % (grid.angular_count, g.shape[0]))
     if engine not in ENGINES:
         raise ValueError("engine must be one of %s, got %r" % (ENGINES, engine))
+    max_terms = operator.index(max_terms)
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if threshold is not None and not 0.0 < threshold <= 1.0:
@@ -619,10 +622,12 @@ def reconstruct(decomposition, n_terms):
     """Partial sum S_n over the first n recorded atoms.
 
     S_n[m] = sum_{k<=n} c_k B_k(z_m) with B_k the basis function for the pole
-    prefix a_1..a_k; n = 0 gives the zero signal.
+    prefix a_1..a_k; n = 0 gives the zero signal. `n_terms` must be an
+    integer (any type with ``__index__``): a float or a string raises
+    TypeError rather than being truncated.
     """
     steps = decomposition.steps
-    n_terms = int(n_terms)
+    n_terms = operator.index(n_terms)
     if not 0 <= n_terms <= len(steps):
         raise ValueError("term count %d outside 0..%d" % (n_terms, len(steps)))
     total = np.zeros(decomposition.n_samples, dtype=np.complex128)

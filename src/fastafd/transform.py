@@ -7,14 +7,16 @@ radius-weighted inverse
     out[j] = sqrt(1 - r^2) / (N (1 - r^N)) * sum_l r^l c[l] e^{+i 2 pi j l / N}
 
 that evaluates normalized reproducing-kernel inner products on a circle of
-radius r in one pass. Feeding f(l) = r^l c_l, times the row's scale, to
-inverse-direction butterflies is exactly the weighted sum; the weights are
-built by a running product and cached per grid, each row's once in natural
-order, so repeated field evaluations pay only for the butterflies and the
-bounds below. Weights that underflow below the smallest normal double are
-stored as exact zeros, which keeps every pass off the slow subnormal path.
-At r = 0 the row is the constant c_0 / N and is written without a
-transform.
+radius r in one pass. The kernel's tables run in the inverse direction
+only; the forward DFT is computed by conjugation, as conj(kernel(conj(x))),
+which changes no value since negation commutes with rounding. Feeding
+f(l) = r^l c_l, times the row's scale, to the butterflies is exactly the
+weighted sum; the weights are built by a running product and cached per
+grid, each row's once in natural order, so repeated field evaluations pay
+only for the butterflies and the bounds below. Weights that underflow
+below the smallest normal double are stored as exact zeros, which keeps
+every pass off the slow subnormal path. At r = 0 the row is the constant
+c_0 / N and is written without a transform.
 
 The kernel is cache-aware (Bailey, "FFTs in external or hierarchical
 memory", 1990). The first four radix-2 stages, whose runs are 1 to 8
@@ -26,18 +28,19 @@ is a fixed constant, not an option. :func:`weighted_inverse_grid` computes
 every full row in place in the (M, N) result; :class:`RowStream` reads each
 row as the short polynomial it is, for the selection step.
 
-Weighted rows are input-pruned (Skinner, "Pruning the decimation
-in-time FFT algorithm", 1976). A row's input is a prefix of Q nonzero
-entries; for an S-point transform, after bit reversal they sit every
-P = S / Q positions, so the first log2(P) butterfly levels only copy. The
-row skips those levels and runs the next four as the dense leaf with a
-stride-P pre-twiddle folded into its matrix, one (Q/16, 16) x (16, 16 P)
-product, then only the stages from span 32 P on (:func:`_sampler`). The
-weighted prefix of a pruned row has its subnormal parts set to zero, the
-rule the weights already follow: a tiny weight times a small coefficient
-is subnormal, and the pre-twiddle would copy it P-fold. The full rows of
-:func:`weighted_inverse_grid` take S = N and the whole nonzero weight
-prefix, the row's full width.
+Rows are input-pruned (Skinner, "Pruning the decimation in-time FFT
+algorithm", 1976). A row's input is a prefix of Q nonzero entries; for an
+S-point transform, after bit reversal they sit every P = S / Q positions,
+so the first log2(P) butterfly levels only copy. The row skips those
+levels and runs the next four as the leaf with a stride-P pre-twiddle
+folded into its matrix, one (Q/16, 16) x (16, 16 P) product, then only the
+stages from span 32 P on (:func:`_sampler`). One builder, :func:`_leaf`,
+makes every leaf: at P = 1 it is the dense leaf, of min(16, N) points, and
+the transform is the full one. The weighted prefix of a pruned row has its
+subnormal parts set to zero, the rule the weights already follow: a tiny
+weight times a small coefficient is subnormal, and the pre-twiddle would
+copy it P-fold. The full rows of :func:`weighted_inverse_grid` take S = N
+and the whole nonzero weight prefix, the row's full width.
 
 The cut (Aurentz and Trefethen, "Chopping a Chebyshev series", ACM TOMS
 43, 2017). A field's rows are read only up to a degree that the signal's
@@ -54,56 +57,63 @@ is not positive, as for z^{N/2-1}, whose field is tiny against its
 energy), the row reads its full width. A field's `width` is its widest
 cut, at least L.
 
+The bound (discrete norms of polynomials: Ehlich and Zeller, 1964;
+Rakhmanov and Shekhtman, J. Approx. Theory 139, 2006). Let
+p(theta) = sum_l y_l e^{i l theta} be sampled at the S angles 2 pi u / S,
+and B, D1 and D2 the sums of |y_l|, l |y_l| and l^2 |y_l| over its terms.
+The second derivative of |p|^2 is at most K = 2 (D1^2 + B D2) in size.
+Between two neighbouring samples, h = 2 pi / S apart, |p|^2 exceeds the
+larger of the two by at most K h^2 / 8; at the maximum of |p|^2 the first
+derivative vanishes and the nearest sample lies within h / 2, so the
+maximum exceeds the largest sample by at most K h^2 / 8 as well. Either
+way, with P that sample,
+
+    max |p|^2 <= P + (pi / S)^2 (D1^2 + B D2).
+
+When terms the samples leave out add at most T to |p|, :func:`_bound`
+states it as
+
+    U = min((B' (1 + _MARGIN))^2,
+            (sqrt(P + (pi / S)^2 (D1^2 + B D2)) + T + 2 S tiny)^2 (1 + _MARGIN)
+            + _MARGIN B'^2) + tiny,    B' = B + T,
+
+whose first term is the triangle inequality |p| <= B', so no bound is
+looser than that one. The one margin covers the roundoff of the
+butterflies, which can lift a computed |f| slightly above the exact value.
+tiny, the smallest normal double, covers what a relative margin cannot:
+squares below it round to a fixed absolute step, and a pruned row sets the
+subnormal parts of y to zero, which moves a sample of S terms by less than
+2 S tiny. Without these terms a row of subnormal |f|^2, such as z^{N/2-1}
+on a large radius, can exceed its bound by a rounding step.
+
+The rows' bounds. Before it reads any row, the selection reads every
+row's bound on |f|^2 and skips the rows that cannot reach its running
+maximum. Read in decreasing bound, a step normally samples only the row
+that holds the maximum. A row's bound is U of its head, the terms l < L,
+sampled exactly at S = L angles by one product of y_l = w_l c_l with an
+L-point inverse DFT matrix, P the largest sample and B, D1 and D2 the
+head's. The rest adds at most T = sum_{L<=l<W} |y_l| + N sqrt(E)
+||w_{>=W}||_2, W the field's width: the triangle inequality up to it, and
+the Parseval tail past it, which no row reads. So T bounds both the cut
+row and the full-width one. The sums come from |y| and from |c| times the
+same per-grid weights that the row transforms read (:func:`_grid_tables`).
+An r = 0 row's bound is its exact value |c_0 / N|^2.
+
 The sampler and the arcs (output pruning: Sorensen and Burrus, IEEE Trans.
 Signal Process. 41, 1993). A cut row p(theta) = sum_{l<Q} y_l e^{i l theta}
 is sampled at S = min(N, _OVERSAMPLE Q) angles 2 pi u / S by the pruned
 S-point transform of its prefix; each sample is a lattice cell. Arc u holds
-the N / S cells from sample u up to sample u + 1. On it |p|^2 has second
-derivative at most K = 2 (D1^2 + B D2), with B, D1 and D2 the sums of
-|y_l|, l |y_l| and l^2 |y_l| over l < Q, so no cell of the arc exceeds
-
-    (max(|p_u|^2, |p_{u+1}|^2) + K h^2 / 8) (1 + _ARC_MARGIN)
-        + _ARC_MARGIN B^2 + 2 Q tiny,    h = 2 pi / S.
-
-Only the cells of arcs whose bound reaches (1 - band) times the running
-maximum are evaluated exactly, as sums over the prefix with cached root
-tables (:func:`_refine_tables`); the selection's tie band then decides as
-before. When S = N an arc is its one sample and the samples are the row.
-A row whose samples are all 0 is itself 0, since its degree lies below S;
-while nothing larger has been read, its one candidate is cell 0. On the standard grid
-a cut row has Q = 256 at every N >= 256, so at N = 65536 a field reads one
-4096-point sample and a few dozen exact cells instead of 65536 outputs.
-
-Before it reads any row, the selection reads every row's bound on |f|^2
-and skips the rows that cannot reach its running maximum. Read in
-decreasing bound, a step normally samples only the row that holds the
-maximum. The bound's head H, the terms l < L of a row, is sampled exactly
-at the L angles 2 pi u / L by one product of w_l c_l with an L-point
-inverse DFT matrix. At the maximum of |H|^2 the first derivative vanishes
-and the second is at most 2 (D2 B_H + D1^2) in size, where B_H, D1 and D2
-are sum |y_l|, sum l |y_l| and sum l^2 |y_l| over l < L, and the nearest
-sample lies within pi / L (discrete norms of polynomials: Ehlich and
-Zeller, 1964; Rakhmanov and Shekhtman, J. Approx. Theory 139, 2006). The
-rest adds at most T = sum_{L<=l<W} |y_l| + N sqrt(E) ||w_{>=W}||_2, W the
-field's width: the triangle inequality up to it, and the Parseval tail
-past it, which no row reads. So T bounds both the cut row and the
-full-width one. With B = B_H + T the bound is
-
-    U = min((B (1 + _MARGIN))^2,
-            (sqrt(max_u |H(2 pi u / L)|^2 + (pi / L)^2 (D2 B_H + D1^2))
-             + T + 2 L tiny)^2 (1 + _MARGIN) + _MARGIN B^2) + tiny,
-
-whose first term is the triangle inequality |p| <= B, so no row's bound
-is looser than that one. The margins cover the roundoff of the
-butterflies, which can lift a computed |f| slightly above the exact value.
-tiny, the smallest normal double, covers what a relative margin cannot:
-squares below it round to a fixed absolute step, and a pruned row sets the
-subnormal parts of y to zero, which moves a head sample by less than
-2 L tiny. Without these terms a row of subnormal |f|^2, such as z^{N/2-1}
-on a large radius, can exceed its bound by a rounding step. B_H, D1, D2
-and T come from |c| and the same per-grid weights that the row transforms
-read (:func:`_grid_tables`). An r = 0 row's bound is its exact value
-|c_0 / N|^2.
+the N / S cells from sample u up to sample u + 1, and no cell of it exceeds
+U with P the larger of the two samples, B, D1 and D2 the whole prefix's
+and T = 0. Only the cells of arcs whose bound reaches (1 - band) times the
+running maximum are evaluated exactly, as sums over the prefix with cached
+root tables (:func:`_refine_tables`); the selection's tie band then decides
+as before. When S = N an arc is its one sample and the samples are the
+row. A row whose samples are all 0 is itself 0, since its degree lies
+below S; while nothing larger has been read, its one candidate is cell 0.
+On the standard grid a cut row has Q = 256 at every N >= 256, so at
+N = 65536 a field reads one 4096-point sample and a few dozen exact cells
+instead of 65536 outputs.
 
 The leaf products are issued as tiles of at most 2048 outputs (K = 16, so
 M N K <= 32768), which OpenBLAS computes on the calling thread. One product
@@ -143,13 +153,16 @@ _TILE_WIDTH = 64    # columns per BLAS product of a pruned leaf
 _SAMPLES = 64       # head terms sampled per row by the bound, at most N
 _SAMPLE_ROWS = _TILE * _LEAF // _SAMPLES ** 2  # rows per sample product
 _TINY = np.finfo(np.float64).tiny
-# Relative slack of a row's bound. On every step of 10-term
-# decompositions of f1, f2 and random signals at N = 8 ... 65536, on 9 and
-# 33 radii, a computed max |f|^2 exceeded the bound without its margins by
-# at most 1.3e-15 relative (the triangle bound alone: 3.9e-16 in |f|);
-# radix-2 roundoff is bounded by a small multiple of log2(N) eps, about
-# 4e-15 at N = 2^16, so this margin leaves about six orders of magnitude
-# to spare.
+# Relative slack of the sampled-polynomial bound, and its multiple of
+# B^2 (module docstring); one value serves the rows and the arcs. On every
+# step of 10-term decompositions of f1, f2 and random signals at
+# N = 8 ... 65536, on 9 and 33 radii, a computed max |f|^2 exceeded a row's
+# bound without its margins by at most 1.3e-15 relative (the triangle bound
+# alone: 3.9e-16 in |f|), and on every row of random, real-coefficient,
+# f2-like and z^{N/2-1} inputs at N = 8192 ... 65536 on both grids no
+# computed cell exceeded its arc's bound without them. Radix-2 roundoff is
+# bounded by a small multiple of log2(N) eps, about 4e-15 at N = 2^16, so
+# this margin leaves about six orders of magnitude to spare.
 _MARGIN = 1e-9
 # The cut: each row reads the prefix whose Parseval tail lies below _CUT
 # times a lower bound on max |f|. At 2^-60 it lies far below TIE_BAND and
@@ -160,20 +173,6 @@ _CUT = 2.0 ** -60
 # Samples per cut row: S = min(N, _OVERSAMPLE Q), so a row of Q = 256 is
 # sampled at 4096 points and its arcs hold N / 4096 cells.
 _OVERSAMPLE = 16
-# Roundoff slack of an arc bound, relative and times B^2, B = sum |y_l|
-# (module docstring). On every row of random, real-coefficient, f2-like and
-# z^{N/2-1} inputs at N = 8192 ... 65536 on both grids above, no computed
-# cell exceeded its arc's bound without this slack; the transforms'
-# roundoff, about log2(N) eps B in |f|, is below 1e-14 B^2 in |f|^2.
-_ARC_MARGIN = 1e-9
-
-
-class _Plan(NamedTuple):
-    """Per-size tables; each direction is (dense leaf matrix, stage twiddles)."""
-
-    rev: np.ndarray
-    forward: tuple
-    inverse: tuple
 
 
 class _Grid(NamedTuple):
@@ -184,10 +183,9 @@ class _Grid(NamedTuple):
     r = 0; `nonzero` lists the indices of the other radii and `full` their
     Q. Line k of `weights` holds the weights of radius nonzero[k], zero-padded
     to the longest prefix (at least L = min(_SAMPLES, N) columns) and to a
-    multiple of _SAMPLE_ROWS lines. `moments` stacks its first L columns
-    times 1, l and l^2, so one product with |c| gives B_H, D1 and D2 (module
-    docstring); `degrees` holds 1, l and l^2 over every column, for the same
-    sums over a cut prefix. `samples` is the L-point inverse DFT matrix,
+    multiple of _SAMPLE_ROWS lines. `degrees` holds 1, l and l^2 over every
+    column, so one product with the |y_l| of a prefix gives its B, D1 and D2
+    (module docstring). `samples` is the L-point inverse DFT matrix,
     entry [l, u] = e^{+i 2 pi l u / L}. Entry [k, i] of `tails` is the
     2-norm of line k's weights l >= 2^i, i = 0 ... log2(N).
     """
@@ -196,7 +194,6 @@ class _Grid(NamedTuple):
     nonzero: np.ndarray
     full: np.ndarray
     weights: np.ndarray
-    moments: np.ndarray
     degrees: np.ndarray
     samples: np.ndarray
     tails: np.ndarray
@@ -230,40 +227,38 @@ def _read_only(*arrays):
 
 @lru_cache(maxsize=32)
 def _plan(n):
+    """The n-point kernel's bit reversal and inverse stage twiddles.
+
+    Stage twiddles W_N^l = e^{+i 2 pi l / N}, one contiguous slice per stage
+    from span 2 min(_LEAF, n) on, the stages after the dense leaf.
+    """
     rev = _bit_reversal_indices(n)
-    leaf = min(_LEAF, n)
-    # Dense leaf: row k holds W_L^{rev(k) m} with W_L = e^{-i 2 pi / L},
-    # so a run of L bit-reversed entries times it is their L-point
-    # DFT in natural order, the result of the first log2(L) stages.
-    exponents = np.outer(_bit_reversal_indices(leaf), np.arange(leaf)) % leaf
-    dense = np.exp(-2j * np.pi * exponents / leaf)
-    # Forward twiddles W_N^l = e^{-i 2 pi l / N}, one contiguous
-    # slice per remaining stage; inverse stages conjugate them.
-    w = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    w = np.exp(2j * np.pi * np.arange(n // 2) / n)
     stages = []
-    span = 2 * leaf
+    span = 2 * min(_LEAF, n)
     while span <= n:
         stages.append(np.ascontiguousarray(w[:: n // span]))
         span *= 2
-    inverse = (np.conj(dense), tuple(np.conj(t) for t in stages))
-    _read_only(rev, dense, inverse[0], *stages, *inverse[1])
-    return _Plan(rev, (dense, tuple(stages)), inverse)
+    _read_only(rev, *stages)
+    return rev, tuple(stages)
 
 
 @lru_cache(maxsize=32)
-def _pruned_leaf(p):
-    """Inverse leaf for input nonzero only at every p-th bit-reversed entry.
+def _leaf(k, p):
+    """The k-point inverse leaf for input nonzero at every p-th bit-reversed entry.
 
-    With u_b = x[b p], the four levels after the log2(p) copy-only ones give
-    out[(16 g + k) p + m] = sum_b u_{16 g + b} W_16^{k rev(b)} W_{16 p}^{m rev(b)},
-    W_L = e^{+i 2 pi / L}, rev the 4-bit reversal. Entry [b, (k, m)] of the
-    returned (16, 16 p) matrix is that product of twiddles, so the levels are
-    one product u.reshape(-1, 16) @ leaf written in natural order.
+    With u_b = x[b p], the log2(k) levels after the log2(p) copy-only ones give
+    out[(k g + j) p + m] = sum_b u_{k g + b} W_k^{j rev(b)} W_{k p}^{m rev(b)},
+    W_L = e^{+i 2 pi / L}, rev the log2(k)-bit reversal. Entry [b, (j, m)]
+    of the returned (k, k p) matrix is that product of twiddles, so the
+    levels are one product u.reshape(-1, k) @ leaf written in natural order.
+    At p = 1 it is the dense leaf: a run of k bit-reversed entries times it
+    is their k-point inverse DFT, the result of the first log2(k) stages.
     """
-    dense = _plan(_LEAF).inverse[0]
-    exponents = np.outer(_bit_reversal_indices(_LEAF), np.arange(p)) % (_LEAF * p)
-    twiddle = np.exp(2j * np.pi * exponents / (_LEAF * p))
-    leaf = (dense[:, :, None] * twiddle[:, None, :]).reshape(_LEAF, _LEAF * p)
+    rev = _bit_reversal_indices(k)
+    dense = np.exp(2j * np.pi * (np.outer(rev, np.arange(k)) % k) / k)
+    twiddle = np.exp(2j * np.pi * (np.outer(rev, np.arange(p)) % (k * p)) / (k * p))
+    leaf = (dense[:, :, None] * twiddle[:, None, :]).reshape(k, k * p)
     _read_only(leaf)
     return leaf
 
@@ -271,15 +266,16 @@ def _pruned_leaf(p):
 def _transform(x, out, leaf, stages, scratch):
     """Transform the bit-reversed row `x` into the row `out` (S,).
 
-    `x` is (S,) for a full transform, or (Q,) holding the nonzero entries
-    of a pruned row with a `leaf` from :func:`_pruned_leaf`. The leaf is
-    one stacked matmul of fixed-shape tiles, none large enough for BLAS to
-    use a second thread (see the module docstring). The `stages` then run
-    in place on `out`, which must be C-contiguous: the per-stage reshape
-    below must alias it, and numpy returns copies for reshapes of
-    non-C-ordered arrays, which would silently discard every update.
-    `scratch` is a flat buffer for the stages, which use its first S / 2
-    entries; it may share memory with `x`, which the leaf has consumed.
+    `x` is (Q,), the nonzero entries of a row pruned to stride P = S / Q,
+    and `leaf` is :func:`_leaf` of (K, P), K = min(_LEAF, Q); at P = 1 the
+    transform is the full one. The leaf is one stacked matmul of fixed-shape
+    tiles, none large enough for BLAS to use a second thread (see the module
+    docstring). The `stages` then run in place on `out`, which must be
+    C-contiguous: the per-stage reshape below must alias it, and numpy
+    returns copies for reshapes of non-C-ordered arrays, which would
+    silently discard every update. `scratch` is a flat buffer for the
+    stages, which use its first S / 2 entries; it may share memory with
+    `x`, which the leaf has consumed.
     """
     if not out.flags.c_contiguous or not x.flags.c_contiguous:
         raise ValueError("transform buffers must be C-contiguous")
@@ -308,26 +304,34 @@ def bit_reverse_permute(x):
     An involution: applying it twice restores the input.
     """
     x, n = _checked_length(x)
-    return x[_plan(n).rev]
+    return x[_plan(n)[0]]
 
 
 def _dft(x, inverse):
-    """Unnormalized forward DFT, or the 1/N-scaled inverse if `inverse`."""
+    """Unnormalized forward DFT, or the 1/N-scaled inverse if `inverse`.
+
+    The kernel runs in the inverse direction only; the forward DFT is the
+    conjugate of the inverse kernel applied to conj(x).
+    """
     x, n = _checked_length(x)
-    plan = _plan(n)
-    y = np.ascontiguousarray(x[plan.rev], dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    _transform(y, out, *(plan.inverse if inverse else plan.forward), y)
+    gather, leaf, stages = _sampler(n, n)
+    y = np.ascontiguousarray(x[gather], dtype=np.complex128)
+    if not inverse:
+        np.conjugate(y, out=y)
+    out = _transform(y, np.empty(n, dtype=np.complex128), leaf, stages, y)
     if inverse:
         out /= n
+    else:
+        np.conjugate(out, out=out)
     return out
 
 
 def dft_forward(x):
     """Unnormalized forward DFT, out[l] = sum_m x[m] e^{-i 2 pi m l / N}.
 
-    Iterative decimation-in-time: bit-reversal preamble, a dense 16-point
-    leaf, then the remaining radix-2 butterfly stages with twiddles W_N^l.
+    Iterative decimation-in-time, computed as the conjugate of the inverse
+    kernel on conj(x): bit-reversal preamble, a dense 16-point leaf, then the
+    remaining radix-2 butterfly stages.
 
     Parameters
     ----------
@@ -383,7 +387,6 @@ def _grid_tables(radii, n):
     weights = np.zeros((-(-m // _SAMPLE_ROWS) * _SAMPLE_ROWS, max([head] + full.tolist())))
     for k, (_, _, prefix) in enumerate(prefixes):
         weights[k, :prefix.size] = prefix
-    moments = np.concatenate([weights[:m, :head] * np.arange(head) ** p for p in range(3)])
     degrees = np.arange(weights.shape[1], dtype=np.float64) ** np.arange(3)[:, None]
     samples = np.exp(2j * np.pi * (np.outer(np.arange(head), np.arange(head)) % head)
                      / head)
@@ -394,29 +397,24 @@ def _grid_tables(radii, n):
     inside = points < weights.shape[1]
     tails[:, inside] = suffix[:, points[inside]]
     # Before the views below: a view taken earlier would stay writable.
-    _read_only(nonzero, full, weights, moments, degrees, samples, tails)
+    _read_only(nonzero, full, weights, degrees, samples, tails)
     rows = [None] * len(radii)
     for k, (s, q, _) in enumerate(prefixes):
         rows[s] = weights[k, :q]
-    return _Grid(tuple(rows), nonzero, full, weights, moments, degrees, samples, tails)
+    return _Grid(tuple(rows), nonzero, full, weights, degrees, samples, tails)
 
 
 @lru_cache(maxsize=64)
 def _sampler(q, size):
     """Tables of the size-point inverse transform of a q-entry prefix.
 
-    Returns (gather, leaf, stages): the bit reversal of q entries, and the
-    leaf and stages of :func:`_transform`. With P = size / q > 1 the leaf is
-    the stride-P :func:`_pruned_leaf` and the stages are the size-point
-    plan's from span 32 P on; with P = 1 they are the plan's own.
+    Returns (gather, leaf, stages): the bit reversal of q entries, the
+    stride-P :func:`_leaf`, P = size / q, and the size-point plan's stages
+    from span 2 min(_LEAF, q) P on. A pruned prefix (P > 1) holds at least
+    _LEAF entries; P = 1 is the full transform.
     """
-    plan = _plan(size)
     p = size // q
-    if p == 1:
-        leaf, stages = plan.inverse
-    else:
-        leaf, stages = _pruned_leaf(p), plan.inverse[1][p.bit_length() - 1:]
-    return _plan(q).rev, leaf, stages
+    return _plan(q)[0], _leaf(min(_LEAF, q), p), _plan(size)[1][p.bit_length() - 1:]
 
 
 @lru_cache(maxsize=64)
@@ -442,6 +440,20 @@ def _checked_radius(r):
     if not 0.0 <= r < 1.0:
         raise ValueError("radius must satisfy 0 <= r < 1, got %g" % r)
     return r
+
+
+def _bound(peak, size, b, d1, d2, tail):
+    """The sampled-polynomial bound U on |p|^2 (module docstring).
+
+    `peak` is the sample bound P, of `size` samples; b, d1 and d2 are the
+    sums of |y_l|, l |y_l| and l^2 |y_l| over the sampled terms and `tail`
+    bounds the rest. Arrays broadcast, one bound per entry.
+    """
+    total = b + tail
+    curvature = (np.pi / size) ** 2 * (d1 * d1 + b * d2)
+    sampled = np.sqrt(peak + curvature) + tail + 2 * size * _TINY
+    return np.minimum((total * (1.0 + _MARGIN)) ** 2,
+                      sampled ** 2 * (1.0 + _MARGIN) + _MARGIN * total ** 2) + _TINY
 
 
 def weighted_inverse(c, r):
@@ -518,7 +530,6 @@ class RowStream:
         y = weights[:, :head] * c[:head]
         samples = np.matmul(y.reshape(-1, _SAMPLE_ROWS, head), grid.samples)
         largest = np.abs(samples).max(axis=2).reshape(-1)[:m]
-        peak = largest ** 2
         value = c[0] / n
         # r = 0 rows: the exact |f|^2, squared as the selection squares it
         bounds = np.full(len(grid.rows), value.real ** 2 + value.imag ** 2)
@@ -533,14 +544,10 @@ class RowStream:
         cuts[grid.nonzero] = np.minimum(head << (omitted <= _CUT * low).argmax(axis=1),
                                         grid.full)
         q = max(int(cuts.max()), head)
-        magnitude = np.abs(c[:q])
-        b_head, d1, d2 = (grid.moments @ magnitude[:head]).reshape(3, m)
-        tail = weights[:m, head:q] @ magnitude[head:] + norm * tails[:, q.bit_length() - 1]
-        total = b_head + tail
-        curvature = (np.pi / head) ** 2 * (d2 * b_head + d1 * d1)
-        sampled = ((np.sqrt(peak + curvature) + tail + 2 * head * _TINY) ** 2
-                   * (1.0 + _MARGIN) + _MARGIN * total ** 2)
-        bounds[grid.nonzero] = np.minimum((total * (1.0 + _MARGIN)) ** 2, sampled) + _TINY
+        b_head, d1, d2 = grid.degrees[:, :head] @ np.abs(y[:m]).T
+        tail = (weights[:m, head:q] @ np.abs(c[head:q])
+                + norm * tails[:, q.bit_length() - 1])
+        bounds[grid.nonzero] = _bound(largest ** 2, head, b_head, d1, d2, tail)
         return bounds, cuts, q
 
     def _sample(self, c, s, q, size, out):
@@ -576,11 +583,7 @@ class RowStream:
         if size == n:
             return samples, power, power, y
         total, d1, d2 = self._grid.degrees[:, :q] @ np.abs(y)
-        curvature = (np.pi / size) ** 2 * (d1 * d1 + total * d2)
-        reach = np.maximum(power, np.roll(power, -1))
-        reach += curvature
-        reach *= 1.0 + _ARC_MARGIN
-        reach += _ARC_MARGIN * total ** 2 + 2 * q * _TINY
+        reach = _bound(np.maximum(power, np.roll(power, -1)), size, total, d1, d2, 0.0)
         return samples, power, reach, y
 
     def _cells(self, c, s, q, peak, band):

@@ -625,25 +625,32 @@ def test_decompose_skips_most_rows_at_the_top_size(monkeypatch, n):
     # field. f2 needs 8, since one of its maxima lies on the r = 0 row,
     # which is written without a transform.
     grid = core.ParameterGrid.experiment_default(n)
-    forward_leaf = transform._plan(n).forward[0]
-    transform_row = transform._transform
-    weighted_calls = 0
+    forward, transform_row = transform.dft_forward, transform._transform
+    forward_calls = transform_calls = 0
+
+    def counting_forward(x):
+        nonlocal forward_calls
+        forward_calls += 1
+        return forward(x)
 
     def counting(x, out, leaf, stages, scratch):
-        nonlocal weighted_calls
-        if leaf is not forward_leaf:  # not a dft_forward call
-            weighted_calls += 1
+        nonlocal transform_calls
+        transform_calls += 1
         return transform_row(x, out, leaf, stages, scratch)
 
+    def weighted_calls():  # every transform that is not a dft_forward call
+        return transform_calls - forward_calls
+
+    monkeypatch.setattr(transform, "dft_forward", counting_forward)
     monkeypatch.setattr(transform, "_transform", counting)
     for g, most in ((signals.synth_f2(n), 9), (signals.synth_f1(n), 10),
                     (signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=7), 10)):
-        weighted_calls = 0
+        forward_calls = transform_calls = 0
         core.inner_product_field(core.spectral_coefficients(g), grid)
-        assert weighted_calls == 8  # the full field transforms every nonzero radius
-        weighted_calls = 0
+        assert weighted_calls() == 8  # the full field transforms every nonzero radius
+        forward_calls = transform_calls = 0
         core.decompose(g, grid, max_terms=10, dc_first=True)
-        assert 0 < weighted_calls <= most
+        assert 0 < weighted_calls() <= most
 
 
 @pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),
@@ -911,6 +918,22 @@ def test_reconstruct_zero_terms_is_zero_signal():
         core.reconstruct(d, len(d.steps) + 1)
     with pytest.raises(ValueError):
         core.reconstruct(d, -1)
+
+
+def test_term_counts_must_be_integers():
+    n = 64
+    g = _random_hardy(n, seed=1)
+    grid = core.ParameterGrid.experiment_default(n)
+    d = core.decompose(g, grid, max_terms=3)
+    # A float is not truncated and a string is not parsed.
+    for bad in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            core.reconstruct(d, bad)
+        with pytest.raises(TypeError):
+            core.decompose(g, grid, max_terms=bad)
+    # Integer types other than int still pass.
+    assert np.array_equal(core.reconstruct(d, np.int64(2)), core.reconstruct(d, 2))
+    assert core.decompose(g, grid, max_terms=np.int32(3)).steps == d.steps
 
 
 def test_reconstruction_plus_remainder_restores_signal():

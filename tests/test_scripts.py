@@ -33,3 +33,15 @@ def test_picks_digest_is_repeatable():
     first, second = picks["digest"](sizes), picks["digest"](sizes)
     assert re.fullmatch("[0-9a-f]{64}", first)
     assert first == second
+
+
+def test_pole_sequences_are_pinned():
+    # The pole sequences of the corpus at N = 8 ... 256: 6 sizes x 4 signals
+    # x 2 grids x 2 dc-first settings x 2 engines. A change that moves a pick
+    # updates this literal and says why.
+    picks = runpy.run_path(str(SCRIPTS / "picks.py"))
+    sizes = picks["SIZES"][:6]
+    assert sizes == (8, 16, 32, 64, 128, 256)
+    assert len(list(picks["corpus"](sizes))) == 192
+    assert picks["pole_digest"](sizes) == (
+        "0cc67c1fcc0b8dc8937a86d05874cd7c31ed870f761be0d26f145bbd11f65c1f")

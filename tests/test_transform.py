@@ -446,11 +446,10 @@ def test_cached_tables_are_read_only():
     # writes; a view taken before its base was made read-only would not.
     n, radii = 8192, (0.0, 0.1, 0.8)
     assert _row_strides(radii, n) == [(1, 16), (2, 1)]  # one pruned row, one not
-    plan = transform._plan(n)
+    rev, stages = transform._plan(n)
     grid = transform._grid_tables(radii, n)
-    tables = [plan.rev, plan.forward[0], *plan.forward[1], plan.inverse[0],
-              *plan.inverse[1], transform._pruned_leaf(16), grid.nonzero, grid.full,
-              grid.weights, grid.moments, grid.degrees, grid.samples, grid.tails,
+    tables = [rev, *stages, transform._leaf(16, 1), transform._leaf(16, 16),
+              grid.nonzero, grid.full, grid.weights, grid.degrees, grid.samples, grid.tails,
               *transform._refine_tables(4096, n, 256), transform._FIRST,
               core._circle(n), oracle._kernel_rows(radii, n)]
     for row, q in zip(grid.rows[1:], grid.full):
@@ -503,7 +502,7 @@ def test_leaf_tiles_match_one_product(n, p):
     # The leaf runs as BLAS tiles of at most 2048 outputs; together they must
     # give each row's one (Q/16, 16) x (16, 16 P) product.
     q = n // p
-    leaf = transform._plan(n).inverse[0] if p == 1 else transform._pruned_leaf(p)
+    leaf = transform._leaf(16, p)
     for seed in (13, 14):
         x = _random_complex(q, seed=seed)
         expected = (x.reshape(-1, 16) @ leaf).reshape(n)
