@@ -100,6 +100,14 @@ def _signal_length(n):
     return n
 
 
+def _term_count(value):
+    """An integer term count: any type with ``__index__`` but bool, which
+    would otherwise pass as 0 or 1; anything else raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("term count must be an integer, not bool")
+    return operator.index(value)
+
+
 def _as_signal(x):
     g = np.asarray(x, dtype=np.complex128)
     if g.ndim != 1:
@@ -503,7 +511,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
         Candidate poles; grid.angular_count must equal len(g).
     max_terms : int
         Maximum number of atoms, >= 1; an integer (any type with
-        ``__index__``), so a float or a string raises TypeError.
+        ``__index__``), so a float, a string or a bool raises TypeError.
     threshold : float, optional
         Relative-energy stopping level in (0, 1].
     engine : {"fft", "direct"}
@@ -538,7 +546,7 @@ def decompose(g, grid, max_terms=10, threshold=None, engine="fft",
                          % (grid.angular_count, g.shape[0]))
     if engine not in ENGINES:
         raise ValueError("engine must be one of %s, got %r" % (ENGINES, engine))
-    max_terms = operator.index(max_terms)
+    max_terms = _term_count(max_terms)
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if threshold is not None and not 0.0 < threshold <= 1.0:
@@ -609,13 +617,29 @@ def tm_basis_samples(poles, n):
 
 
 def _partial_sums(steps, n):
-    """Yield the partial sums S_1, S_2, ... over `steps` on n lattice points."""
+    """Yield the partial sums S_1, S_2, ... over `steps` on n lattice points.
+
+    The term c_k e_{a_k} B_{k-1} and the next Blaschke product B_k share one
+    division, q = B_{k-1} / (1 - conj(a_k) z): S_k = S_{k-1} + c_k
+    sqrt(1 - |a_k|^2) q and B_k = (z - a_k) q. Everything is computed in
+    place in two work buffers besides the running sum, and every yield is
+    that one running buffer, which the next step overwrites: a caller uses
+    each yield before it asks for the next, or copies it.
+    """
+    z = _circle(n)
     total = np.zeros(n, dtype=np.complex128)
-    blaschke_prod = np.ones(n, dtype=np.complex128)
+    prod = np.ones(n, dtype=np.complex128)
+    q = np.empty(n, dtype=np.complex128)
     for step in steps:
-        total = total + step.coefficient * kernel_samples(step.point, n) * blaschke_prod
+        a = _pole_value(step.point)
+        np.multiply(z, a.conjugate(), out=q)
+        np.subtract(1.0, q, out=q)
+        np.divide(prod, q, out=q)
+        np.subtract(z, a, out=prod)
+        prod *= q
+        q *= step.coefficient * np.sqrt(1.0 - abs(a) ** 2)
+        total += q
         yield total
-        blaschke_prod = blaschke_prod * blaschke_samples(step.point, n)
 
 
 def reconstruct(decomposition, n_terms):
@@ -623,14 +647,16 @@ def reconstruct(decomposition, n_terms):
 
     S_n[m] = sum_{k<=n} c_k B_k(z_m) with B_k the basis function for the pole
     prefix a_1..a_k; n = 0 gives the zero signal. `n_terms` must be an
-    integer (any type with ``__index__``): a float or a string raises
-    TypeError rather than being truncated.
+    integer (any type with ``__index__``): a float, a string or a bool
+    raises TypeError rather than being truncated. The result is a new array
+    on every call; it holds the last running buffer of :func:`_partial_sums`.
     """
     steps = decomposition.steps
-    n_terms = operator.index(n_terms)
+    n_terms = _term_count(n_terms)
     if not 0 <= n_terms <= len(steps):
         raise ValueError("term count %d outside 0..%d" % (n_terms, len(steps)))
-    total = np.zeros(decomposition.n_samples, dtype=np.complex128)
+    if n_terms == 0:
+        return np.zeros(decomposition.n_samples, dtype=np.complex128)
     for total in _partial_sums(steps[:n_terms], decomposition.n_samples):
         pass
     return total
@@ -653,7 +679,9 @@ def error_trace(decomposition, g):
 
     Matches [relative_error(g, reconstruct(d, n)) for n = 1..len(steps)]
     exactly: both walk the same partial-sum recurrence, accumulated once
-    here instead of rebuilt per n, and ||G||^2 is computed once.
+    here instead of rebuilt per n, and ||G||^2 is computed once. Each
+    partial sum is used before the next is asked for, as
+    :func:`_partial_sums` requires.
     """
     g = _as_signal(g)
     if g.shape[0] != decomposition.n_samples:

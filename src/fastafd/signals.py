@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "index,real,imag"
+_CSV_BLOCK = 4096  # rows formatted and written at a time by save_signal_csv
 _CSV_ROW = np.dtype([("i", np.int64), ("re", np.float64), ("im", np.float64)])
 
 
@@ -88,16 +89,24 @@ def synth_random_hardy(n, degree=None, seed=0):
 
 
 def save_signal_csv(path, g):
-    """Write samples as `index,real,imag` rows, LF endings, 17 significant digits."""
+    """Write samples as `index,real,imag` rows, LF endings, 17 significant digits.
+
+    The body is formatted and written in blocks of _CSV_BLOCK rows, so the
+    memory the writer takes beyond the signal does not depend on its length.
+    """
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("signal must be 1-d")
     n = g.shape[0]
-    # One format over the whole body; Python floats print as numpy's do.
-    body = ("%d,%.17g,%.17g\n" * n) % tuple(
-        itertools.chain.from_iterable(zip(range(n), g.real.tolist(), g.imag.tolist())))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n" + body)
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, n, _CSV_BLOCK):
+            block = g[start:start + _CSV_BLOCK]
+            rows = zip(range(start, start + block.shape[0]), block.real.tolist(),
+                       block.imag.tolist())
+            # One format per block; Python floats print as numpy's do.
+            fh.write(("%d,%.17g,%.17g\n" * block.shape[0])
+                     % tuple(itertools.chain.from_iterable(rows)))
 
 
 def load_signal_csv(path):

@@ -369,14 +369,22 @@ def _grid_tables(radii, n):
     for s, r in enumerate(radii):
         if r == 0.0:
             continue
-        powers = np.full(n, r)
-        powers[0] = 1.0
-        np.cumprod(powers, out=powers)
         # 1 - r^N underflows to 1 for moderate N; harmless, it is the exact limit.
-        powers *= np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
-        # The weights fall monotonically, so the normal ones are a prefix;
-        # only it is kept, the full row is freed here.
-        prefix = powers[:np.count_nonzero(powers >= _TINY)].copy()
+        scale = np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
+        # The weights fall monotonically, so the normal ones are a prefix.
+        # The running product is taken one entry past the estimated end of
+        # that prefix, or over the whole row if that entry is still normal:
+        # past it, r times a subnormal can round back to the same subnormal,
+        # and each of up to N slow multiplications leaves it nonzero. cumprod
+        # is sequential, so the entries it does compute keep their bits.
+        for end in (min(n, int(math.log(_TINY / scale) / math.log(r)) + 2), n):
+            powers = np.full(end, r)
+            powers[0] = 1.0
+            np.cumprod(powers, out=powers)
+            powers *= scale
+            if end == n or powers[-1] < _TINY:
+                break
+        prefix = powers[:np.count_nonzero(powers >= _TINY)]
         q = _LEAF
         while q < prefix.size:
             q *= 2

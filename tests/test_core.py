@@ -936,6 +936,20 @@ def test_term_counts_must_be_integers():
     assert core.decompose(g, grid, max_terms=np.int32(3)).steps == d.steps
 
 
+def test_term_counts_reject_bool():
+    # bool is an int subclass, so __index__ alone would read True as 1.
+    n = 64
+    g = _random_hardy(n, seed=1)
+    grid = core.ParameterGrid.experiment_default(n)
+    d = core.decompose(g, grid, max_terms=3)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            core.reconstruct(d, bad)
+        with pytest.raises(TypeError):
+            core.decompose(g, grid, max_terms=bad)
+    assert np.array_equal(core.reconstruct(d, np.uint8(1)), core.reconstruct(d, 1))
+
+
 def test_reconstruction_plus_remainder_restores_signal():
     # G = S_n + G_{n+1} prod_k B_{a_k} exactly, by construction of the
     # remainder recursion.
@@ -972,3 +986,51 @@ def test_error_trace_matches_reconstruct_loop():
     assert trace == rebuilt
     with pytest.raises(ValueError):
         core.error_trace(d, _random_hardy(64, seed=23))
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+def test_partial_sums_match_the_basis_functions(n):
+    # S_k = sum_{j<=k} c_j B_j with B_j built per prefix by tm_basis_samples,
+    # a product of separately sampled kernels and Blaschke factors.
+    g = signals.synth_random_hardy(n, degree=min(n // 4, 256), seed=3)
+    with pytest.warns(UserWarning, match="exceeds"):
+        grid = core.ParameterGrid(core.radius_range(0.0, 0.05, 0.95), n)
+    d = core.decompose(g, grid, max_terms=10, dc_first=True)
+    poles = [step.point for step in d.steps]
+    expected = np.zeros(n, dtype=np.complex128)
+    for k, step in enumerate(d.steps, 1):
+        expected += step.coefficient * core.tm_basis_samples(poles[:k], n)
+        got = core.reconstruct(d, k)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected)), k
+
+
+def test_reconstruct_returns_a_new_array_per_call():
+    # The partial sums are built in one running buffer; each call's result
+    # must still be its own array.
+    n = 256
+    g = _random_hardy(n, seed=29)
+    d = core.decompose(g, core.ParameterGrid.experiment_default(n), max_terms=6)
+    first = core.reconstruct(d, 6)
+    kept = first.copy()
+    second = core.reconstruct(d, 6)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    core.reconstruct(d, 3)
+    assert np.array_equal(first, kept)
+
+
+def test_reconstruct_working_set():
+    # The partial sums run in place: the running sum and two work buffers,
+    # 3 signal lengths, well below the 4.5 allowed here.
+    n = 65536
+    g = signals.synth_random_hardy(n, degree=256, seed=5)
+    d = core.decompose(g, core.ParameterGrid.experiment_default(n), max_terms=10,
+                       dc_first=True)
+    core.reconstruct(d, 10)  # fill the lattice cache
+    tracemalloc.start()
+    try:
+        core.reconstruct(d, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * np.dtype(np.complex128).itemsize

@@ -1,5 +1,7 @@
 """Tests for the bundled generators and the CSV signal format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,8 +211,28 @@ def test_csv_save_matches_the_per_line_writer_byte_for_byte(tmp_path):
                         complex(tiny / 8, -tiny / 3), complex(5e-324, -5e-324),
                         complex(1e308, -1e308), complex(-1.7976931348623157e308, 1e-308),
                         complex(0.1, 1.0 / 3.0)])
-    for g in (special, signals.synth_random_hardy(1024, seed=9), special[:0]):
+    # Lengths below, equal to and not a multiple of the writer's block.
+    block = signals._CSV_BLOCK
+    long = signals.synth_random_hardy(4 * block, degree=256, seed=11)
+    blocks = [long[:n] for n in (block - 1, block, block + 1, 3 * block + 5)]
+    for g in (special, signals.synth_random_hardy(1024, seed=9), special[:0], *blocks):
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         signals.save_signal_csv(fast, g)
         _save_per_line(slow, g)
         assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_csv_save_memory_does_not_grow_with_length(tmp_path):
+    # Blocks of rows, not the whole body, are formatted at a time: about
+    # 0.8 MiB at N = 65536, where the text alone is about 3 MiB.
+    n = 65536
+    g = signals.synth_random_hardy(n, degree=256, seed=13)
+    path = tmp_path / "g.csv"
+    signals.save_signal_csv(path, g)
+    tracemalloc.start()
+    try:
+        signals.save_signal_csv(path, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -441,6 +441,49 @@ def test_grid_tables_hold_no_subnormal_weights():
         assert np.all(weights >= 0.0)
 
 
+def _full_row_tables(radii, n):
+    # The weight tables built from each row's running product over all N
+    # entries, subnormal tail included: (nonzero, full, weights, tails).
+    tiny = np.finfo(np.float64).tiny
+    prefixes = []
+    for s, r in enumerate(radii):
+        if r == 0.0:
+            continue
+        powers = np.full(n, r)
+        powers[0] = 1.0
+        np.cumprod(powers, out=powers)
+        powers *= np.sqrt(1.0 - r * r) / (n * (1.0 - r ** n))
+        prefix = powers[:np.count_nonzero(powers >= tiny)]
+        q = 16
+        while q < prefix.size:
+            q *= 2
+        prefixes.append((s, q if n // q >= 16 else n, prefix))
+    lines = -(-len(prefixes) // 8) * 8  # whole tiles of 8 sample rows
+    weights = np.zeros((lines, max([min(64, n)] + [q for _, q, _ in prefixes])))
+    tails = np.zeros((len(prefixes), n.bit_length()))
+    for k, (_, _, prefix) in enumerate(prefixes):
+        weights[k, :prefix.size] = prefix
+        suffix = np.sqrt(np.cumsum(weights[k, ::-1] ** 2)[::-1])
+        for i in range(n.bit_length()):
+            if 2 ** i < weights.shape[1]:
+                tails[k, i] = suffix[2 ** i]
+    return (np.array([s for s, _, _ in prefixes]), np.array([q for _, q, _ in prefixes]),
+            weights, tails)
+
+
+@pytest.mark.parametrize("radii", [core.radius_range(0.0, 0.1, 0.8),
+                                   core.radius_range(0.0, 0.025, 0.8),
+                                   core.radius_range(0.0, 0.05, 0.95)])
+def test_grid_tables_equal_the_full_running_product(radii):
+    # The running product stops just past the last normal weight; since
+    # cumprod is sequential, every table is bit-equal to the full row's.
+    for n in (2 ** k for k in range(3, 17)):
+        grid = transform._grid_tables(radii, n)
+        for built, expected in zip((grid.nonzero, grid.full, grid.weights, grid.tails),
+                                   _full_row_tables(radii, n)):
+            assert np.array_equal(built, expected), n
+
+
 def test_cached_tables_are_read_only():
     # Cached tables are shared by every later caller, so each must refuse
     # writes; a view taken before its base was made read-only would not.
